@@ -2,10 +2,10 @@
 
 Semantics are identical (asserted by the test suite); this bench
 measures the wall-clock effect of running clients concurrently when the
-gradient work is BLAS-heavy and releases the GIL.  A companion
-telemetry pass records the per-executor straggler gap (max − median
-client seconds, from the executors' ``local_solve`` spans) through the
-``repro.obs`` metrics CSV sink into ``benchmarks/results/``.
+gradient work is BLAS-heavy and releases the GIL.  A companion pass
+records the per-executor straggler gap (max − median client seconds,
+which every executor times per client solve) and round seconds into
+``benchmarks/results/micro_executor_straggler.json``.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.datasets import make_synthetic
 from repro.fl.client import Client
 from repro.fl.executor import SequentialExecutor, ThreadPoolClientExecutor
 from repro.models import MultinomialLogisticModel
-from repro.obs import CsvMetricsSink, telemetry
 
 
 @pytest.fixture(scope="module")
@@ -59,36 +58,28 @@ def test_threaded_round(benchmark, federation):
         benchmark(lambda: executor.run_round(clients, w0, 1))
 
 
-def test_straggler_gap_csv(federation, results_dir):
-    """Record sequential vs thread-pool straggler gaps via the CSV sink."""
+def test_straggler_gap(federation, save_json):
+    """Record sequential vs thread-pool straggler gaps and round seconds."""
     clients_fn, w0 = federation
-    out_path = results_dir / "micro_executor_straggler.csv"
-    telemetry.configure([CsvMetricsSink(str(out_path))])
+    executors = {
+        "sequential": SequentialExecutor(),
+        "thread": ThreadPoolClientExecutor(max_workers=4),
+    }
+    payload = {}
     try:
-        executors = {
-            "sequential": SequentialExecutor(),
-            "thread": ThreadPoolClientExecutor(max_workers=4),
-        }
-        gaps = {}
-        try:
-            for name, executor in executors.items():
-                clients = clients_fn()
-                executor.run_round(clients, w0, 1)
-                secs = executor.last_client_seconds
-                assert secs is not None and len(secs) == len(clients)
-                gap = max(secs) - float(np.median(secs))
-                gaps[name] = gap
-                telemetry.gauge_set("bench.executor.straggler_gap", gap, key=name)
-                telemetry.gauge_set(
-                    "bench.executor.round_seconds", sum(secs), key=name
-                )
-        finally:
-            for executor in executors.values():
-                executor.close()
+        for name, executor in executors.items():
+            clients = clients_fn()
+            executor.run_round(clients, w0, 1)
+            secs = executor.last_client_seconds
+            assert secs is not None and len(secs) == len(clients)
+            payload[name] = {
+                "straggler_gap": max(secs) - float(np.median(secs)),
+                "round_seconds": sum(secs),
+            }
     finally:
-        telemetry.shutdown()
-    assert out_path.exists()
-    header = out_path.read_text(encoding="utf-8").splitlines()[0]
-    assert header.startswith("scope,round,metric")
-    assert all(g >= 0.0 for g in gaps.values())
-    print("straggler gaps:", {k: f"{v:.6f}s" for k, v in gaps.items()})
+        for executor in executors.values():
+            executor.close()
+    save_json("micro_executor_straggler", payload)
+    assert all(p["straggler_gap"] >= 0.0 for p in payload.values())
+    print("straggler gaps:",
+          {k: f"{v['straggler_gap']:.6f}s" for k, v in payload.items()})

@@ -1,13 +1,13 @@
-"""Telemetry demo: trace a short federated run and summarize it.
+"""Telemetry demo: record a short federated run in a ledger and summarize it.
 
 Runs FedProxVR-SARAH for a few rounds on a small synthetic federation
-with the ``repro.obs`` telemetry session active, writing
+with a telemetry session whose only sink is the run ledger, writing
 
-* ``trace.jsonl``   — the structured event trace (spans + per-round metrics),
-* ``metrics.csv``   — the tabular per-round / per-run metric summary,
+* ``trace_run.ledger.jsonl`` — the run ledger: manifest, committed
+  rounds, spans, per-round metric deltas and monitor alerts,
 
-then renders the span-tree / hotspot report in-process (the same output
-as ``repro obs-report trace.jsonl``).
+then renders the ledger's report in-process (the same output as
+``repro obs-report trace_run.ledger.jsonl``).
 
 Run:  python examples/trace_run.py [output-dir]
 """
@@ -20,24 +20,21 @@ from repro import (
     make_synthetic,
     run_federated,
 )
-from repro.obs import CsvMetricsSink, JsonlSink, StderrReporter, telemetry
+from repro.obs import RunLedger, default_monitor_suite, telemetry
 from repro.obs.report import render_report
 
 
 def main() -> None:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
-    trace_path = f"{out_dir}/trace.jsonl"
-    metrics_path = f"{out_dir}/metrics.csv"
+    ledger_path = f"{out_dir}/trace_run.ledger.jsonl"
 
     dataset = make_synthetic(
         alpha=1.0, beta=1.0, num_devices=10, num_features=60, seed=0
     )
     print(dataset.summary())
 
-    telemetry.configure(
-        [JsonlSink(trace_path), CsvMetricsSink(metrics_path), StderrReporter()],
-        extra_meta={"example": "trace_run"},
-    )
+    ledger = RunLedger(ledger_path)
+    telemetry.configure([ledger])
     try:
         history, _ = run_federated(
             dataset,
@@ -54,6 +51,8 @@ def main() -> None:
                 seed=1,
                 eval_every=2,
             ),
+            ledger=ledger,
+            monitors=default_monitor_suite(),
         )
     finally:
         telemetry.shutdown()
@@ -61,8 +60,8 @@ def main() -> None:
     print(f"\nfinal loss {history.final('train_loss'):.4f}, "
           f"straggler gap (last round) "
           f"{history.records[-1].straggler_gap:.6f}s\n")
-    print(render_report(trace_path, top=5))
-    print(f"artifacts: {trace_path}  {metrics_path}")
+    print(render_report(ledger_path, top=5))
+    print(f"artifact: {ledger_path}")
 
 
 if __name__ == "__main__":

@@ -2,13 +2,13 @@
 
 Commands
 --------
-``run``     — train one algorithm on one dataset and print/save the history.
+``run``     — train one algorithm on one dataset and print the history
+(``--ledger PATH`` records the run: see ``docs/OBSERVABILITY.md``).
 ``compare`` — train several algorithms under identical settings.
 ``theory``  — evaluate Lemma 1 bounds and Theorem 1's factor at given knobs.
 ``optimize``— solve the §4.3 problem for one or more gamma values (Fig. 1).
-``obs-report`` — render the span-tree / hotspot summary of a JSONL trace
-produced by ``repro run --trace`` (or, with ``--ledger``, the round/alert
-summary of a ``repro.ledger/v1`` file from ``repro run --ledger``).
+``obs-report`` — render a run ledger from ``repro run --ledger``: rounds,
+alerts, span tree and self-time hotspots.
 ``obs-diff`` — align two run ledgers and report metric/hotspot deltas
 with a regression verdict.
 ``obs-check`` — validate a ledger and assert alert/round expectations
@@ -25,7 +25,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, List, Optional
+from contextlib import contextmanager
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,18 +44,16 @@ from repro.models import (
     make_paper_cnn_model,
 )
 from repro.obs import (
-    CsvMetricsSink,
-    JsonlSink,
+    LEDGER_SCHEMA,
     LedgerReader,
     MonitorFailFast,
     RunLedger,
-    StderrReporter,
     default_monitor_suite,
     diff_ledgers,
     render_diff,
     telemetry,
 )
-from repro.obs.report import render_ledger_report, render_report
+from repro.obs.report import render_report
 
 DATASETS = ("synthetic", "digits", "fashion")
 MODELS = ("mlr", "mlp", "cnn")
@@ -113,50 +112,30 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--executor", choices=EXECUTOR_CHOICES, default="sequential",
                    help="client scheduling: 'batched' runs homogeneous cohorts "
                         "as stacked solves (see docs/PERFORMANCE.md)")
-    p.add_argument("--output", help="write the history JSON here")
-    p.add_argument("--trace", metavar="PATH",
-                   help="enable telemetry and write the JSONL event trace here "
-                        "(inspect with 'repro obs-report')")
-    p.add_argument("--metrics", metavar="PATH",
-                   help="enable telemetry and write the per-round/run metrics CSV here")
-    p.add_argument("--obs-stderr", action="store_true",
-                   help="with telemetry on, also print per-round metrics to stderr")
-    p.add_argument("--profile-nn", action="store_true",
-                   help="with telemetry on, time every nn layer forward/backward "
-                        "(adds overhead; off by default)")
     p.add_argument("--ledger", metavar="PATH",
-                   help="write a crash-safe repro.ledger/v1 run ledger here and "
-                        "run the default monitor suite (inspect with "
-                        "'repro obs-report --ledger' / 'repro obs-check'; "
-                        "compare runs with 'repro obs-diff')")
+                   help="record the run in a crash-safe repro.ledger/v2 run "
+                        "ledger here (config, rounds, spans, metric deltas, "
+                        "alerts) and run the default monitor suite (inspect "
+                        "with 'repro obs-report' / 'repro obs-check'; compare "
+                        "runs with 'repro obs-diff')")
+    p.add_argument("--profile-nn", action="store_true",
+                   help="with --ledger, time every nn layer forward/backward "
+                        "(adds overhead; off by default)")
     p.add_argument("--fail-fast", action="store_true",
                    help="with --ledger, abort the run on the first "
                         "error-severity monitor alert (exit code 3)")
 
 
-def _configure_telemetry(args) -> bool:
-    """Start a telemetry session from CLI flags; True if one started."""
-    sinks = []
-    if args.trace:
-        sinks.append(JsonlSink(args.trace))
-    if args.metrics:
-        sinks.append(CsvMetricsSink(args.metrics))
-    if args.obs_stderr:
-        sinks.append(StderrReporter())
-    if not sinks:
-        if args.profile_nn:
-            raise ConfigurationError(
-                "--profile-nn needs a telemetry sink; add --trace, "
-                "--metrics, or --obs-stderr"
-            )
-        return False
-    telemetry.configure(
-        sinks,
-        nn_profiling=args.profile_nn,
-        extra_meta={"dataset": args.dataset, "model": args.model,
-                    "seed": args.seed},
+def _prepare(args) -> Tuple[FederatedDataset, Callable[[], Model]]:
+    """Check the flags, then build and announce the dataset + model factory."""
+    if (args.fail_fast or args.profile_nn) and not args.ledger:
+        raise ConfigurationError("--fail-fast and --profile-nn need --ledger")
+    dataset = build_dataset(
+        args.dataset, num_devices=args.devices, num_samples=args.samples, seed=args.seed
     )
-    return True
+    factory = build_model_factory(args.model, dataset)
+    print(dataset.summary())
+    return dataset, factory
 
 
 def _make_config(args, algorithm: str) -> FederatedRunConfig:
@@ -173,9 +152,31 @@ def _make_config(args, algorithm: str) -> FederatedRunConfig:
     )
 
 
-def _make_ledger(path: str, *, fail_fast: bool):
-    """A fresh ledger + default monitor suite for one run."""
-    return RunLedger(path), default_monitor_suite(fail_fast=fail_fast)
+@contextmanager
+def _ledger_session(args, path: Optional[str]):
+    """Yield ``(ledger, monitors)`` for one run; ``(None, None)`` unledgered.
+
+    The ledger is the telemetry session's only sink, so the run's
+    spans and per-round metric deltas land in it beside the rounds.
+    """
+    if path is None:
+        yield None, None
+        return
+    ledger = RunLedger(path)
+    telemetry.configure([ledger], nn_profiling=args.profile_nn)
+    try:
+        yield ledger, default_monitor_suite(fail_fast=args.fail_fast)
+    except BaseException:
+        # run_federated closes the ledger with the run's status; this
+        # marks runs that failed before it got that far (close is
+        # idempotent, so it never overrides that status).
+        ledger.close("failed")
+        raise
+    finally:
+        telemetry.shutdown()
+        print(f"ledger written to {path} "
+              f"({ledger.alert_count} alert(s); inspect with: "
+              f"repro obs-report {path})")
 
 
 def _ledger_path_for(path: str, algorithm: str) -> str:
@@ -184,95 +185,51 @@ def _ledger_path_for(path: str, algorithm: str) -> str:
     return f"{root}.{algorithm}{ext or '.jsonl'}"
 
 
-def _report_ledger(ledger: RunLedger) -> None:
-    print(f"ledger written to {ledger.path} "
-          f"({ledger.alert_count} alert(s); inspect with: "
-          f"repro obs-report --ledger {ledger.path})")
-
-
 def cmd_run(args) -> int:
-    dataset = build_dataset(
-        args.dataset, num_devices=args.devices, num_samples=args.samples, seed=args.seed
-    )
-    factory = build_model_factory(args.model, dataset)
-    print(dataset.summary())
-    traced = _configure_telemetry(args)
-    ledger = monitors = None
-    if args.ledger:
-        ledger, monitors = _make_ledger(args.ledger, fail_fast=args.fail_fast)
+    dataset, factory = _prepare(args)
     try:
-        history, _ = run_federated(
-            dataset, factory, _make_config(args, args.algorithm),
-            verbose=True, ledger=ledger, monitors=monitors,
-        )
+        with _ledger_session(args, args.ledger) as (ledger, monitors):
+            run_federated(
+                dataset, factory, _make_config(args, args.algorithm),
+                verbose=True, ledger=ledger, monitors=monitors,
+            )
     except MonitorFailFast as exc:
         print(f"fail-fast: {exc}", file=sys.stderr)
-        _report_ledger(ledger)
         return 3
-    finally:
-        if traced:
-            telemetry.shutdown()
-    if args.output:
-        history.to_json(args.output)
-        print(f"history written to {args.output}")
-    if args.trace:
-        print(f"trace written to {args.trace} "
-              f"(render with: repro obs-report {args.trace})")
-    if args.metrics:
-        print(f"metrics CSV written to {args.metrics}")
-    if ledger is not None:
-        _report_ledger(ledger)
     return 0
 
 
 def cmd_compare(args) -> int:
-    dataset = build_dataset(
-        args.dataset, num_devices=args.devices, num_samples=args.samples, seed=args.seed
-    )
-    factory = build_model_factory(args.model, dataset)
-    print(dataset.summary())
-    traced = _configure_telemetry(args)
+    dataset, factory = _prepare(args)
     histories = []
-    try:
-        for algorithm in args.algorithms:
-            config = _make_config(args, algorithm)
-            if algorithm == "fedavg":
-                config.mu = 0.0
-            ledger = monitors = None
-            if args.ledger:
-                # One ledger per algorithm: a manifest binds one run.
-                ledger, monitors = _make_ledger(
-                    _ledger_path_for(args.ledger, algorithm),
-                    fail_fast=args.fail_fast,
-                )
-            try:
+    for algorithm in args.algorithms:
+        config = _make_config(args, algorithm)
+        if algorithm == "fedavg":
+            config.mu = 0.0
+        # One ledger (and telemetry session) per algorithm: a manifest
+        # binds one run.
+        path = _ledger_path_for(args.ledger, algorithm) if args.ledger else None
+        try:
+            with _ledger_session(args, path) as (ledger, monitors):
                 history, _ = run_federated(
-                    dataset, factory, config,
-                    ledger=ledger, monitors=monitors,
+                    dataset, factory, config, ledger=ledger, monitors=monitors,
                 )
-            except MonitorFailFast as exc:
-                print(f"fail-fast ({algorithm}): {exc}", file=sys.stderr)
-                _report_ledger(ledger)
-                return 3
-            histories.append(history)
-            print(f"  {algorithm:>18s}: final loss {history.final('train_loss'):.4f}  "
-                  f"acc {history.final('test_accuracy'):.4f}")
-            if ledger is not None:
-                _report_ledger(ledger)
-    finally:
-        if traced:
-            telemetry.shutdown()
+        except MonitorFailFast as exc:
+            print(f"fail-fast ({algorithm}): {exc}", file=sys.stderr)
+            return 3
+        histories.append(history)
+        print(f"  {algorithm:>18s}: final loss {history.final('train_loss'):.4f}  "
+              f"acc {history.final('test_accuracy'):.4f}")
     print()
     print(format_comparison(histories))
     return 0
 
 
 def cmd_obs_report(args) -> int:
-    render = render_ledger_report if args.ledger else render_report
     try:
-        print(render(args.trace, top=args.top), end="")
+        print(render_report(args.ledger, top=args.top), end="")
     except (OSError, ValueError) as exc:
-        print(f"error: cannot render {args.trace!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot render {args.ledger!r}: {exc}", file=sys.stderr)
         return 2
     return 0
 
@@ -306,7 +263,7 @@ def cmd_obs_check(args) -> int:
     resume = reader.resume_point()
     alerts = reader.alerts()
     fired = sorted({a.get("monitor", "?") for a in alerts})
-    print(f"{args.ledger}: valid repro.ledger/v1  "
+    print(f"{args.ledger}: valid {LEDGER_SCHEMA}  "
           f"rounds={len(reader.rounds())} alerts={len(alerts)} "
           f"status={resume['status'] or 'crashed'} "
           f"resume-cursor={resume['cursor']} next-round={resume['next_round']}"
@@ -447,22 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(func=cmd_optimize)
 
     p_rep = sub.add_parser(
-        "obs-report", help="summarize a JSONL trace from 'repro run --trace'"
+        "obs-report", help="summarize a run ledger from 'repro run --ledger'"
     )
-    p_rep.add_argument("trace", help="path to the JSONL trace (or ledger) file")
+    p_rep.add_argument("ledger", help="path to the run ledger")
     p_rep.add_argument("--top", type=int, default=10,
                        help="number of hotspot rows (default 10)")
-    p_rep.add_argument("--ledger", action="store_true",
-                       help="treat the input as a repro.ledger/v1 run ledger "
-                            "from 'repro run --ledger'")
     p_rep.set_defaults(func=cmd_obs_report)
 
     p_diff = sub.add_parser(
         "obs-diff",
         help="diff two run ledgers (metric series + hotspot self-times)",
     )
-    p_diff.add_argument("ledger_a", help="baseline repro.ledger/v1 file")
-    p_diff.add_argument("ledger_b", help="candidate repro.ledger/v1 file")
+    p_diff.add_argument("ledger_a", help="baseline run ledger")
+    p_diff.add_argument("ledger_b", help="candidate run ledger")
     p_diff.add_argument("--top", type=int, default=10,
                         help="number of hotspot rows (default 10)")
     p_diff.add_argument("--rel-threshold", type=float, default=0.25,
@@ -476,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs-check",
         help="validate a run ledger and assert alert/round expectations",
     )
-    p_chk.add_argument("ledger", help="repro.ledger/v1 file to check")
+    p_chk.add_argument("ledger", help="run ledger to check")
     p_chk.add_argument("--max-alerts", type=int, default=None,
                        help="fail (exit 1) when more alerts were recorded")
     p_chk.add_argument("--expect-alert", metavar="MONITOR", action="append",

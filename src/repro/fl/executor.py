@@ -16,6 +16,7 @@ to per-client solves wherever no bit-identical kernel exists.
 from __future__ import annotations
 
 import os
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -32,16 +33,16 @@ from repro.utils.validation import check_positive_int
 class ClientExecutor(ABC):
     """Runs one round of local updates over a set of clients.
 
-    When telemetry is enabled each client's solve runs inside a
-    ``local_solve`` span (nested under the server's ``round`` span) and
-    the per-client wall durations of the last round are exposed as
-    :attr:`last_client_seconds`, ordered like the ``clients`` argument —
-    the raw material for straggler-gap diagnostics that the simulated
-    clock only ever sees as a max.  While disabled the attribute stays
-    ``None`` and the hot path is untouched.
+    Each client's solve is timed inside a ``local_solve`` span (nested
+    under the server's ``round`` span; the shared no-op while telemetry
+    is off) and the per-client wall durations of the last round are
+    exposed as :attr:`last_client_seconds`, ordered like the
+    ``clients`` argument — the raw material for straggler-gap
+    diagnostics that the simulated clock only ever sees as a max.
     """
 
-    #: wall seconds per client for the most recent round (telemetry only)
+    #: wall seconds per client for the most recent round (``None`` when
+    #: the executor has no per-client time, as for stacked solves)
     last_client_seconds: Optional[List[float]] = None
 
     @abstractmethod
@@ -78,8 +79,8 @@ class ClientExecutor(ABC):
         """Release any pooled resources (default: nothing to do)."""
 
 
-def _traced_update(client, w_global, round_index, parent):
-    """One client's local solve inside a ``local_solve`` span.
+def _timed_update(client, w_global, round_index, parent):
+    """One client's local solve, timed, inside a ``local_solve`` span.
 
     ``parent`` pins the span under the caller's round span even when
     this runs on a pool thread whose own context stack is empty.
@@ -89,27 +90,23 @@ def _traced_update(client, w_global, round_index, parent):
         parent=parent,
         client=client.client_id,
         round=round_index,
-    ) as span:
+    ):
+        start = time.perf_counter()
         result = client.local_update(w_global, round_index)
-    return result, span.duration
+        seconds = time.perf_counter() - start
+    return result, seconds
 
 
 class SequentialExecutor(ClientExecutor):
     """Run clients one after another in the calling thread (default)."""
 
     def run_round(self, clients, w_global, round_index):
-        if not telemetry.enabled:
-            self.last_client_seconds = None
-            return [c.local_update(w_global, round_index) for c in clients]
         parent = telemetry.current_span()
-        results: List[LocalSolveResult] = []
-        seconds: List[float] = []
-        for c in clients:
-            result, dur = _traced_update(c, w_global, round_index, parent)
-            results.append(result)
-            seconds.append(dur)
-        self.last_client_seconds = seconds
-        return results
+        pairs = [
+            _timed_update(c, w_global, round_index, parent) for c in clients
+        ]
+        self.last_client_seconds = [seconds for _, seconds in pairs]
+        return [result for result, _ in pairs]
 
 
 class ThreadPoolClientExecutor(ClientExecutor):
@@ -157,22 +154,15 @@ class ThreadPoolClientExecutor(ClientExecutor):
             raise RuntimeError("executor already closed")
         self._validate_clients(clients)
         self._ensure_pool(len(clients))
-        if not telemetry.enabled:
-            self.last_client_seconds = None
-            futures = [
-                self._pool.submit(c.local_update, w_global, round_index)
-                for c in clients
-            ]
-            return [f.result() for f in futures]
         # Capture the round span *here* (submitting thread); the pool
         # threads have empty context stacks of their own.
         parent = telemetry.current_span()
         futures = [
-            self._pool.submit(_traced_update, c, w_global, round_index, parent)
+            self._pool.submit(_timed_update, c, w_global, round_index, parent)
             for c in clients
         ]
         pairs = [f.result() for f in futures]
-        self.last_client_seconds = [dur for _, dur in pairs]
+        self.last_client_seconds = [seconds for _, seconds in pairs]
         return [result for result, _ in pairs]
 
     def close(self) -> None:
@@ -251,8 +241,7 @@ class BatchedCohortExecutor(ClientExecutor):
             self._plan = self._build_plan(clients)
             self._plan_clients = key
 
-        traced = telemetry.enabled
-        parent = telemetry.current_span() if traced else None
+        parent = telemetry.current_span()
         results: List[Optional[LocalSolveResult]] = [None] * len(clients)
         batched_count = 0
         for indices, kernel, signature in self._plan:
@@ -263,18 +252,13 @@ class BatchedCohortExecutor(ClientExecutor):
                 models = [c.model for c in cohort]
                 shards = [(c.data.X_train, c.data.y_train) for c in cohort]
                 rngs = [c.round_rng(round_index) for c in cohort]
-                if traced:
-                    with telemetry.span(
-                        "cohort_solve",
-                        parent=parent,
-                        cohort_size=len(cohort),
-                        signature=signature,
-                        round=round_index,
-                    ):
-                        cohort_results = solver.solve_cohort(
-                            models, shards, w_global, rngs, kernel
-                        )
-                else:
+                with telemetry.span(
+                    "cohort_solve",
+                    parent=parent,
+                    cohort_size=len(cohort),
+                    signature=signature,
+                    round=round_index,
+                ):
                     cohort_results = solver.solve_cohort(
                         models, shards, w_global, rngs, kernel
                     )
@@ -284,19 +268,13 @@ class BatchedCohortExecutor(ClientExecutor):
                     results[i] = result
             else:
                 for i in indices:
-                    if traced:
-                        results[i], _ = _traced_update(
-                            clients[i], w_global, round_index, parent
-                        )
-                    else:
-                        results[i] = clients[i].local_update(
-                            w_global, round_index
-                        )
-        if traced:
-            telemetry.counter_add("fl.executor.batched_clients", batched_count)
-            telemetry.counter_add(
-                "fl.executor.fallback_clients", len(clients) - batched_count
-            )
+                    results[i], _ = _timed_update(
+                        clients[i], w_global, round_index, parent
+                    )
+        telemetry.counter_add("fl.executor.batched_clients", batched_count)
+        telemetry.counter_add(
+            "fl.executor.fallback_clients", len(clients) - batched_count
+        )
         # Stacked solves have no meaningful per-client wall time.
         self.last_client_seconds = None
         return results

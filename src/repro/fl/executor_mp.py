@@ -22,11 +22,11 @@ because the per-(client, round) streams do not depend on which process
 runs them.  Telemetry: workers cannot emit spans themselves — a forked
 worker inherits a copy of the parent's span-id counter, so worker-side
 ids would collide — instead each task measures its own wall time and
-ships ``(result, timing)`` home, where the parent emits a
-``local_solve`` span via :meth:`~repro.obs.Telemetry.external_span`,
-parented on the serialized round-span context and tagged with the
-worker's process name.  :attr:`last_client_seconds` is therefore
-populated on traced mp runs, lighting up the straggler-gap diagnostic.
+ships ``(result, timing)`` home, where the parent records it in
+:attr:`last_client_seconds` (the straggler-gap input) and, with
+telemetry on, emits a ``local_solve`` span via
+:meth:`~repro.obs.Telemetry.external_span`, parented on the serialized
+round-span context and tagged with the worker's process name.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,14 +77,14 @@ def _init_worker(entries: List[Dict[str, Any]], w_spec: ArraySpec) -> None:
 
 
 def _run_task(
-    slot: int, round_index: int, timed: bool = False
-) -> "LocalSolveResult | Tuple[LocalSolveResult, Dict[str, Any]]":
+    slot: int, round_index: int
+) -> Tuple[LocalSolveResult, Dict[str, Any]]:
     """One client's local solve inside a worker process.
 
-    With ``timed`` (traced runs) the worker measures its own wall time
-    and returns ``(result, timing)``; the parent turns the timing into
-    an external ``local_solve`` span.  No span ids are allocated here —
-    see the module docstring.
+    The worker measures its own wall time and returns
+    ``(result, timing)``; the parent turns the timing into an external
+    ``local_solve`` span.  No span ids are allocated here — see the
+    module docstring.
     """
     assert _WORKER is not None, "worker initializer did not run"
     entry = _WORKER["entries"][slot]
@@ -92,10 +92,6 @@ def _run_task(
     # on the passed array, and the parent rewrites the block next round.
     w_global = np.array(_WORKER["w"], dtype=np.float64, copy=True)
     rng = derive_generator(entry["base_seed"], entry["client_id"], round_index)
-    if not timed:
-        return entry["solver"].solve(
-            entry["model"], entry["X"], entry["y"], w_global, rng
-        )
     t_wall = time.time()
     t0 = time.perf_counter()
     result = entry["solver"].solve(
@@ -212,14 +208,9 @@ class ProcessPoolClientExecutor(ClientExecutor):
         # Single-writer broadcast: all of last round's tasks finished
         # (their futures were awaited), so no worker is reading.
         self._w_view[...] = w_global
-        traced = telemetry.enabled
         futures = [
-            self._pool.submit(_run_task, slot, round_index, traced)
-            for slot in slots
+            self._pool.submit(_run_task, slot, round_index) for slot in slots
         ]
-        if not traced:
-            self.last_client_seconds = None
-            return [f.result() for f in futures]
         # Serialized-context parenting: the round span lives in this
         # (coordinating) process; workers only report timings, and the
         # external spans carry their process names for report keying.

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.ledger import RoundRecord, diverged
+from repro.obs.ledger import LedgerReader, RoundRecord, diverged
 
 #: the known RoundRecord field names; :meth:`TrainingHistory.from_dict`
 #: drops anything else so histories written by *newer* code still load
@@ -78,11 +77,6 @@ class TrainingHistory:
             "records": [asdict(r) for r in self.records],
         }
 
-    def to_json(self, path: str) -> None:
-        """Write the history as a JSON file."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, default=float)
-
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "TrainingHistory":
         """Inverse of :meth:`to_dict`."""
@@ -101,6 +95,27 @@ class TrainingHistory:
                 )
             )
         return history
+
+    @classmethod
+    def from_ledger(cls, path: str) -> "TrainingHistory":
+        """The history of a ledgered run: its evaluated rounds' records.
+
+        Algorithm and config come from the ledger's manifest, the
+        dataset name from the manifest's attrs.
+        """
+        reader = LedgerReader(path)
+        manifest = reader.manifest or {}
+        config = manifest.get("config", {})
+        return cls.from_dict(
+            {
+                "algorithm": config.get("algorithm", ""),
+                "dataset": manifest.get("attrs", {}).get("dataset", ""),
+                "config": config,
+                "records": [
+                    e["record"] for e in reader.rounds() if e.get("evaluated")
+                ],
+            }
+        )
 
 
 def format_comparison(

@@ -292,7 +292,11 @@ def run_federated(
         Optional :class:`repro.obs.RunLedger`; receives the run
         manifest up front, one committed record per round, and is
         closed (with a ``completed`` / ``diverged`` / ``failed``
-        status) before this function returns.
+        status) before this function returns.  Only
+        ``write_manifest``, ``commit_round`` and ``close`` are called,
+        so any object with those three methods works.  To record the
+        run's spans and metric deltas too, configure telemetry with the
+        ledger as its sink.
     monitors:
         Optional :class:`repro.obs.MonitorSuite`; bound to the run's
         (β, μ, L, θ) constants and attached to ``ledger`` so alerts
@@ -406,6 +410,7 @@ def run_federated(
             },
             attrs={
                 "dataset": dataset.name,
+                "model": type(probe_model).__name__,
                 "executor": config.executor,
                 "num_devices": dataset.num_devices,
                 "client_fraction": config.client_fraction,

@@ -171,7 +171,7 @@ class FederatedServer:
             ]
         self.clock.advance_round(delays if delays else [0.0])
 
-        # Straggler diagnostics from the executor's per-client spans:
+        # Straggler diagnostics from the executor's per-client timings:
         # the simulated clock only ever sees max(delays); the gap
         # (max - median wall seconds) says how lopsided the round was.
         straggler_gap: Optional[float] = None

@@ -11,17 +11,18 @@ Entry points
     process-global facade; disabled by default (no-op hot paths).
 :func:`Telemetry.configure` / :func:`Telemetry.shutdown`
     start/stop a telemetry session with a list of sinks.
-Sinks
-    :class:`InMemorySink`, :class:`JsonlSink`, :class:`CsvMetricsSink`,
-    :class:`StderrReporter`.
-Reporting
-    :func:`repro.obs.report.render_report` renders a span-tree +
-    hotspot summary from a JSONL trace (``repro obs-report``).
 Run ledger (v2)
     :class:`RunLedger` / :class:`LedgerReader` — append-only,
-    crash-safe ``repro.ledger/v1`` JSONL with monotonic cursors;
+    crash-safe ``repro.ledger/v2`` JSONL with monotonic cursors, and
+    the telemetry sink a run writes its spans and metric deltas to;
     :class:`RoundRecord`, the one per-round record, and
     :func:`diverged`, the one divergence rule.
+Sinks
+    :class:`Sink`, the interface :class:`RunLedger` implements, and
+    :class:`InMemorySink`, the in-process consumer tests use.
+Reporting
+    :func:`repro.obs.report.render_report` renders a ledger's rounds,
+    alerts, span tree and hotspots (``repro obs-report``).
 Runtime monitors (v2)
     :class:`MonitorSuite` and the detectors behind
     :func:`default_monitor_suite` (Theorem-1 contraction, θ drift,
@@ -32,7 +33,7 @@ Cross-run analytics (v2)
 """
 
 from repro.obs.diff import diff_ledgers, render_diff
-from repro.obs.facade import SCHEMA, Telemetry, telemetry
+from repro.obs.facade import Telemetry, telemetry
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     LedgerError,
@@ -48,13 +49,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.sinks import (
-    CsvMetricsSink,
-    InMemorySink,
-    JsonlSink,
-    Sink,
-    StderrReporter,
-)
+from repro.obs.sinks import InMemorySink, Sink
 from repro.obs.monitors import (
     Alert,
     MonitorFailFast,
@@ -65,13 +60,11 @@ from repro.obs.trace import NOOP_SPAN, NoopSpan, Span, Tracer
 
 __all__ = [
     "Alert",
-    "CsvMetricsSink",
     "Counter",
     "DEFAULT_TIME_BUCKETS",
     "Gauge",
     "Histogram",
     "InMemorySink",
-    "JsonlSink",
     "LEDGER_SCHEMA",
     "LedgerError",
     "LedgerReader",
@@ -82,10 +75,8 @@ __all__ = [
     "NoopSpan",
     "RoundRecord",
     "RunLedger",
-    "SCHEMA",
     "Sink",
     "Span",
-    "StderrReporter",
     "Telemetry",
     "Tracer",
     "default_monitor_suite",

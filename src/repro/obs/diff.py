@@ -1,15 +1,15 @@
 """Cross-run ledger analytics: align, diff, and judge two runs.
 
-Consumes two ``repro.ledger/v1`` files (see :mod:`repro.obs.ledger`),
+Consumes two ``repro.ledger/v2`` files (see :mod:`repro.obs.ledger`),
 aligns their committed rounds by round index, and reports:
 
 * **provenance** — config keys that differ and whether the two runs
   were produced by the same ``repro`` source digest;
 * **metric series** — per-field mean/final deltas over the shared
   rounds (train loss, gradient norm, accuracy, θ̂, Γ̂, …);
-* **hotspots** — span self-time deltas from each ledger's ``hotspots``
-  snapshot, with a noise-aware relative threshold so timer jitter on
-  sub-millisecond spans never reads as a regression;
+* **hotspots** — span self-time deltas computed from each ledger's
+  ``span`` events, with a noise-aware relative threshold so timer
+  jitter on sub-millisecond spans never reads as a regression;
 * a one-word **verdict** (``ok`` / ``regression``) driven by the
   time-like fields only — statistical fields drift with the seed and
   are reported, not judged.
@@ -23,6 +23,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.ledger import LedgerReader
+from repro.obs.report import top_hotspots
 
 __all__ = ["diff_ledgers", "render_diff"]
 
@@ -63,17 +64,9 @@ def _rel_delta(a: float, b: float) -> float:
 
 
 def _hotspot_table(reader: LedgerReader) -> Dict[str, float]:
-    """name -> self seconds, from the ledger's last hotspots snapshot."""
-    snapshots = reader.by_type("hotspots")
-    if not snapshots:
-        return {}
-    table: Dict[str, float] = {}
-    for span in snapshots[-1].get("spans", []):
-        name = span.get("name")
-        seconds = span.get("self_seconds")
-        if isinstance(name, str) and isinstance(seconds, (int, float)):
-            table[name] = table.get(name, 0.0) + float(seconds)
-    return table
+    """name -> total self seconds over the ledger's span events."""
+    rows = top_hotspots(reader.events, k=None)
+    return {row["name"]: row["self"] for row in rows}
 
 
 def diff_ledgers(
@@ -237,7 +230,7 @@ def render_diff(result: Dict[str, Any], *, top: int = 10) -> str:
         reverse=True,
     )[:top]
     if spots:
-        lines.append("span self-time (last hotspots snapshot):")
+        lines.append("span self-time:")
         lines.append(
             f"  {'span':<28} {'A (s)':>10} {'B (s)':>10} {'delta%':>8}"
         )

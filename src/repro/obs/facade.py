@@ -8,13 +8,14 @@ properties — so hot paths (inner solver loops, layer forwards) pay
 essentially nothing and ``repro.core`` stays importable and fast with
 ``repro.obs`` unconfigured.
 
-Typical session::
+Typical session, with the run ledger as the only sink::
 
-    from repro.obs import JsonlSink, telemetry
+    from repro.obs import RunLedger, telemetry
 
-    telemetry.configure(sinks=[JsonlSink("trace.jsonl")])
+    ledger = RunLedger("run.ledger.jsonl")
+    telemetry.configure([ledger])
     try:
-        run_federated(...)
+        run_federated(..., ledger=ledger)
     finally:
         telemetry.shutdown()
 """
@@ -28,10 +29,7 @@ from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 from repro.obs.sinks import Sink
 from repro.obs.trace import NOOP_SPAN, Span, Tracer, next_span_id
 
-__all__ = ["SCHEMA", "Telemetry", "telemetry"]
-
-#: schema tag stamped into every session's ``meta`` event
-SCHEMA = "repro.obs/v1"
+__all__ = ["Telemetry", "telemetry"]
 
 
 class Telemetry:
@@ -56,11 +54,10 @@ class Telemetry:
         sinks: Iterable[Sink] = (),
         *,
         nn_profiling: bool = False,
-        extra_meta: Optional[Dict[str, Any]] = None,
     ) -> "Telemetry":
         """Enable telemetry and route events to ``sinks``.
 
-        Reconfiguring an active session flushes nothing — call
+        Reconfiguring an active session is an error — call
         :meth:`shutdown` first.  Returns ``self`` for chaining.
         """
         if self.enabled:
@@ -70,33 +67,18 @@ class Telemetry:
         with self._lock:
             self._round_base = {}
         self._sim_clock = None
-        meta: Dict[str, Any] = {"type": "meta", "schema": SCHEMA,
-                                "nn_profiling": bool(nn_profiling)}
-        if extra_meta:
-            meta["attrs"] = dict(extra_meta)
-        self._emit(meta)
         self.nn_profiling = bool(nn_profiling)
         self.enabled = True
         return self
 
-    def flush(self) -> None:
-        """Emit the cumulative run summary to every sink."""
-        if not self.enabled:
-            return
-        self._emit(
-            {
-                "type": "run_summary",
-                "sim_time": self.sim_time(),
-                "metrics": self.metrics.snapshot(),
-                "spans_emitted": self.tracer.finished_count,
-            }
-        )
-
     def shutdown(self) -> None:
-        """Flush the run summary, close sinks, and disable telemetry."""
+        """Close sinks and disable telemetry.
+
+        ``metrics.snapshot()`` keeps the session's cumulative totals
+        until the next :meth:`configure`.
+        """
         if not self.enabled:
             return
-        self.flush()
         self.enabled = False
         self.nn_profiling = False
         sinks, self._sinks = self._sinks, []
@@ -157,7 +139,6 @@ class Telemetry:
         if process:
             event["process"] = process
         event["sim_time"] = self.sim_time()
-        self.tracer.note_finished()
         self._emit(event)
         return span_id
 

@@ -1,15 +1,14 @@
-"""Append-only, crash-safe run ledger (``repro.ledger/v1``).
+"""Append-only, crash-safe run ledger (``repro.ledger/v2``).
 
-The ledger is the durable counterpart of the ``repro.obs/v1`` event
-trace: where the trace records *everything that happened* at span
-granularity, the ledger records *what the run committed to* — a run
-manifest (resolved configuration, RNG entropy, platform, package
-digest) followed by one committed record per round, each carrying a
-monotonically increasing cursor and flushed+fsynced before the next
-round starts.  A process crash therefore loses at most the round in
-flight; the reader tolerates a torn final line and reports the last
-committed cursor, which is exactly the resume point the
-checkpoint/resume control plane (ROADMAP item 4) needs.
+The ledger is the one file a run writes: a run manifest (resolved
+configuration, RNG entropy, platform, package digest) followed by one
+committed record per round, each carrying a monotonically increasing
+cursor and flushed+fsynced before the next round starts, plus the
+telemetry session's spans and per-round metric deltas (the ledger is a
+:class:`~repro.obs.sinks.Sink`).  A process crash therefore loses at
+most the round in flight; the reader tolerates a torn final line and
+reports the last committed cursor, which is exactly the resume point
+the checkpoint/resume control plane needs.
 
 Event types (one JSON object per line):
 
@@ -21,8 +20,10 @@ Event types (one JSON object per line):
     ``record`` (the round's :class:`RoundRecord` as a dict), ``sim_time``.
 ``alert``
     a structured monitor alert (see :mod:`repro.obs.monitors`).
-``hotspots``
-    a span self-time snapshot (perfbench drill-downs).
+``span``
+    one finished telemetry span (name, ids, duration, attrs, sim_time).
+``round_metrics``
+    one round's telemetry metric deltas.
 ``end``
     final line on clean shutdown: totals + run status.
 
@@ -44,6 +45,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, TextIO
 
+from repro.obs.sinks import Sink
+
 __all__ = [
     "LEDGER_SCHEMA",
     "LOSS_CEILING",
@@ -56,10 +59,13 @@ __all__ = [
 ]
 
 #: schema tag stamped into every ledger's manifest
-LEDGER_SCHEMA = "repro.ledger/v1"
+LEDGER_SCHEMA = "repro.ledger/v2"
 
-#: event types every ``repro.ledger/v1`` consumer must understand
-EVENT_TYPES = ("manifest", "round", "alert", "hotspots", "end")
+#: event types every ``repro.ledger/v2`` consumer must understand
+EVENT_TYPES = ("manifest", "round", "alert", "span", "round_metrics", "end")
+
+#: the telemetry events :meth:`RunLedger.emit` accepts
+TELEMETRY_TYPES = ("span", "round_metrics")
 
 
 #: |training loss| above which a run counts as diverged
@@ -93,9 +99,9 @@ class RoundRecord:
     mean_local_steps: float = 0.0
     mean_gradient_evaluations: float = 0.0
     mean_achieved_theta: Optional[float] = None
-    #: max − median per-client wall seconds for the round, measured by
-    #: the executor's ``local_solve`` spans; ``None`` when telemetry was
-    #: off (histories written before this field existed load as ``None``)
+    #: max − median per-client wall seconds for the round, timed by the
+    #: executor around each client solve; ``None`` under the batched
+    #: executor, whose stacked solves have no per-client time
     straggler_gap: Optional[float] = None
     #: FedProx-style Γ̂ gradient-dissimilarity of the round's cohort
     #: (Σ p̃ₙ‖∇Jₙ(w)‖² over ‖·‖² of the weighted mean norm); ``None`` in
@@ -104,7 +110,7 @@ class RoundRecord:
 
 
 class LedgerError(ValueError):
-    """A ledger file violates the ``repro.ledger/v1`` contract."""
+    """A ledger file violates the ``repro.ledger/v2`` contract."""
 
 
 _digest_cache: Dict[str, str] = {}
@@ -137,25 +143,30 @@ def package_digest() -> str:
     return value
 
 
-class RunLedger:
+class RunLedger(Sink):
     """Writer: append committed events to a JSONL ledger file.
 
     ``commit_round`` (and every alert) is flushed and ``fsync``-ed
     before returning, so the file on disk always ends on a committed
     event boundary — the crash-safety contract the reader relies on.
-    Thread-safe: monitors may append alerts from sink callbacks while
-    the server commits rounds.
+    Telemetry events arrive through :meth:`emit` and become durable
+    with the next commit.  Thread-safe: pool threads emit spans while
+    the server commits rounds and monitors append alerts.
     """
 
     def __init__(self, path: str, *, fsync: bool = True) -> None:
         self.path = path
         self._fsync = bool(fsync)
-        self._lock = threading.Lock()
+        # Reentrant: write_manifest and emit hold it while _append
+        # takes it again for the cursor.
+        self._lock = threading.RLock()
         self._fh: Optional[TextIO] = open(path, "w", encoding="utf-8")
         self._cursor = -1
         self._rounds = 0
         self._alerts = 0
         self._manifest_written = False
+        #: telemetry events emitted before the manifest, written after it
+        self._pending: List[Dict[str, Any]] = []
         self._closed = False
         self.run_id = hashlib.sha256(os.urandom(16)).hexdigest()[:12]
 
@@ -194,6 +205,9 @@ class RunLedger:
                 raise LedgerError("manifest already written")
             self._manifest_written = True
             self._write(event, durable=True)
+            for pending in self._pending:
+                self._append(pending)
+            self._pending = []
 
     def commit_round(
         self,
@@ -243,18 +257,23 @@ class RunLedger:
             self._write(event, durable=True)
             return self._cursor
 
-    def hotspots(self, spans: List[Dict[str, Any]], *, label: str = "") -> int:
-        """Append a span self-time snapshot (perfbench drill-down)."""
+    def emit(self, event: Dict[str, Any]) -> None:
+        """Sink interface: append a ``span`` or ``round_metrics`` event.
+
+        Not fsynced: the next :meth:`commit_round` (or :meth:`close`)
+        makes it durable.  Events emitted before :meth:`write_manifest`
+        are held and written right after the manifest.
+        """
+        if event.get("type") not in TELEMETRY_TYPES:
+            raise LedgerError(
+                f"RunLedger.emit takes {TELEMETRY_TYPES} events, "
+                f"got {event.get('type')!r}"
+            )
         with self._lock:
-            self._cursor += 1
-            event = {
-                "type": "hotspots",
-                "cursor": self._cursor,
-                "label": label,
-                "spans": [dict(s) for s in spans],
-            }
-            self._write(event, durable=False)
-            return self._cursor
+            if self._manifest_written:
+                self._append(event)
+            else:
+                self._pending.append(event)
 
     def close(self, status: str = "completed") -> None:
         """Write the ``end`` event and close the file (idempotent)."""
@@ -278,6 +297,15 @@ class RunLedger:
             self._fh = None
 
     # -- internals ----------------------------------------------------
+
+    def _append(self, event: Dict[str, Any]) -> None:
+        """Write a telemetry event under the next cursor."""
+        with self._lock:
+            self._cursor += 1
+            self._write(
+                {"type": event["type"], "cursor": self._cursor, **event},
+                durable=False,
+            )
 
     def _write(self, event: Dict[str, Any], *, durable: bool) -> None:
         if self._fh is None:
@@ -345,7 +373,7 @@ class LedgerReader:
     # -- validation ---------------------------------------------------
 
     def validate(self) -> List[str]:
-        """All ``repro.ledger/v1`` contract violations (empty = valid)."""
+        """All ``repro.ledger/v2`` contract violations (empty = valid)."""
         errors: List[str] = []
         if not self.events:
             return [f"{self.path}: ledger contains no events"]

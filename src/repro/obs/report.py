@@ -1,37 +1,20 @@
-"""Render a span-tree / hotspot report from a JSONL trace.
+"""Render a run ledger: rounds, alerts, span tree and hotspots.
 
-``repro obs-report trace.jsonl`` uses :func:`render_report`.  Spans are
-aggregated by *name path* (``run > round > local_solve``), so a
-10-round, 20-client trace renders as a handful of tree rows with counts
-and total/mean durations instead of hundreds of raw spans.  Hotspots
-rank span names by **self time** (duration minus direct children), the
-number that actually says where wall time went.
+``repro obs-report run.ledger.jsonl`` uses :func:`render_report`.
+Spans are aggregated by *name path* (``run > round > local_solve``),
+so a 10-round, 20-client run renders as a handful of tree rows with
+counts and total/mean durations instead of hundreds of raw spans.
+Hotspots rank span names by **self time** (duration minus direct
+children), the number that actually says where wall time went.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["render_ledger_report", "render_report"]
+from repro.obs.ledger import LedgerReader
 
-
-def load_events(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace file (raises ``ValueError`` on a bad line)."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: event is not an object")
-            events.append(obj)
-    return events
+__all__ = ["render_report", "top_hotspots"]
 
 
 def _span_events(events: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -110,9 +93,11 @@ def aggregate_tree(
 
 
 def top_hotspots(
-    events: Iterable[Dict[str, Any]], k: int = 10
+    events: Iterable[Dict[str, Any]], k: Optional[int] = 10
 ) -> List[Dict[str, Any]]:
     """Span names ranked by total self time (duration − direct children).
+
+    ``k=None`` returns every span name.
 
     Aggregation is by span *name* across every process and thread in
     the trace — ids only serve to subtract direct-child time, keyed per
@@ -139,9 +124,9 @@ def top_hotspots(
         node["self"] += own
         node["total"] += dur
     ranked = sorted(self_time.items(), key=lambda kv: -kv[1]["self"])
-    return [
-        {"name": name, **stats} for name, stats in ranked[: max(0, int(k))]
-    ]
+    if k is not None:
+        ranked = ranked[: max(0, int(k))]
+    return [{"name": name, **stats} for name, stats in ranked]
 
 
 def render_span_tree(events: Iterable[Dict[str, Any]]) -> str:
@@ -174,10 +159,8 @@ def render_hotspots(events: Iterable[Dict[str, Any]], k: int = 10) -> str:
     return "\n".join(lines)
 
 
-def render_ledger_report(path: str, *, top: int = 10) -> str:
-    """Full ``obs-report --ledger`` output for one ``repro.ledger/v1`` file."""
-    from repro.obs.ledger import LedgerReader
-
+def render_report(path: str, *, top: int = 10) -> str:
+    """Full ``repro obs-report`` output for one run ledger."""
     reader = LedgerReader(path)
     errors = reader.validate()
     manifest = reader.manifest or {}
@@ -224,40 +207,10 @@ def render_ledger_report(path: str, *, top: int = 10) -> str:
             f"  round {alert.get('round')}: [{alert.get('severity')}] "
             f"{alert.get('monitor')}: {alert.get('message')}"
         )
-    snapshots = reader.by_type("hotspots")
-    if snapshots:
-        spans = sorted(
-            snapshots[-1].get("spans", []),
-            key=lambda s: -float(s.get("self_seconds", 0.0)),
-        )[: max(0, int(top))]
-        lines.append("hotspots (last snapshot, self time):")
-        for span in spans:
-            lines.append(
-                f"  {float(span.get('self_seconds', 0.0)):9.4f}s  "
-                f"{span.get('name', '?')}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def render_report(path: str, *, top: int = 10) -> str:
-    """Full ``obs-report`` output for one JSONL trace file."""
-    events = load_events(path)
-    spans = _span_events(events)
-    meta = next((e for e in events if e.get("type") == "meta"), None)
-    rounds = [e for e in events if e.get("type") == "round_metrics"]
-    header = [
-        f"trace: {path}",
-        f"schema: {meta.get('schema') if meta else '(no meta event)'}",
-        f"events: {len(list(events))} ({len(spans)} spans, "
-        f"{len(rounds)} round-metric records)",
-    ]
-    sim_times = [e["sim_time"] for e in spans if e.get("sim_time") is not None]
-    if sim_times:
-        header.append(f"final simulated time: {max(sim_times):.4f}")
     sections = [
-        "\n".join(header),
-        "span tree\n---------\n" + render_span_tree(events),
+        "\n".join(lines),
+        "span tree\n---------\n" + render_span_tree(reader.events),
         f"top-{top} hotspots (self time)\n-----------------------------\n"
-        + render_hotspots(events, top),
+        + render_hotspots(reader.events, top),
     ]
     return "\n\n".join(sections) + "\n"

@@ -1,37 +1,24 @@
-"""Pluggable telemetry sinks.
+"""Telemetry sinks.
 
-Every sink receives plain-dict events conforming to the ``repro.obs/v1``
-schema (see ``docs/OBSERVABILITY.md``):
+A sink receives the telemetry session's plain-dict events:
 
-``meta``
-    first event of a session: schema tag + configuration echo.
 ``span``
     one finished span (name, ids, duration, attrs, sim_time).
 ``round_metrics``
     per-round metric deltas at a round boundary.
-``run_summary``
-    final cumulative metric snapshot.
 
-``emit`` may be called concurrently from pool threads; each sink
-serializes internally so JSONL lines never interleave.
+The run's sink is its :class:`~repro.obs.ledger.RunLedger`, which
+writes both into the ledger file; :class:`InMemorySink` keeps them in a
+list for tests and in-process consumers.  ``emit`` may be called
+concurrently from pool threads, so every sink serializes internally.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import sys
 import threading
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List
 
-__all__ = [
-    "CsvMetricsSink",
-    "InMemorySink",
-    "JsonlSink",
-    "Sink",
-    "StderrReporter",
-]
+__all__ = ["InMemorySink", "Sink"]
 
 
 class Sink:
@@ -59,140 +46,3 @@ class InMemorySink(Sink):
         """Events of one schema type, in emission order."""
         with self._lock:
             return [e for e in self.events if e.get("type") == event_type]
-
-
-class JsonlSink(Sink):
-    """Appends one JSON object per line to a file."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._fh: Optional[TextIO] = open(path, "w", encoding="utf-8")
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        line = json.dumps(event, default=str, separators=(",", ":"))
-        with self._lock:
-            if self._fh is None:
-                raise RuntimeError(f"JsonlSink({self.path!r}) already closed")
-            self._fh.write(line + "\n")
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-
-class CsvMetricsSink(Sink):
-    """Writes metric rows (per-round deltas + run summary) as CSV.
-
-    Span events are ignored — this sink is the tabular companion to the
-    JSONL trace.  Rows are buffered and written on :meth:`close` so the
-    file is valid CSV even if the run dies mid-round.
-    """
-
-    FIELDS = ("scope", "round", "metric", "kind", "value",
-              "count", "sum", "min", "max", "mean")
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._rows: List[Dict[str, Any]] = []
-        self._closed = False
-
-    @staticmethod
-    def _metric_rows(metrics: Dict[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
-        rows = []
-        for mid, m in sorted(metrics.items()):
-            kind = m["kind"]
-            if kind == "counter":
-                headline = m["total"]
-            elif kind == "gauge":
-                headline = m.get("last", m.get("mean", 0.0))
-            else:
-                headline = m.get("mean", 0.0)
-            rows.append(
-                {
-                    "metric": mid,
-                    "kind": kind,
-                    "value": headline,
-                    "count": m.get("count", ""),
-                    "sum": m.get("sum", ""),
-                    "min": m.get("min", ""),
-                    "max": m.get("max", ""),
-                    "mean": m.get("mean", ""),
-                }
-            )
-        return rows
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        etype = event.get("type")
-        if etype == "round_metrics":
-            scope, rnd = "round", event.get("round", "")
-        elif etype == "run_summary":
-            scope, rnd = "run", ""
-        else:
-            return
-        rows = self._metric_rows(event.get("metrics", {}))
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(f"CsvMetricsSink({self.path!r}) already closed")
-            for row in rows:
-                row["scope"] = scope
-                row["round"] = rnd
-                self._rows.append(row)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            with open(self.path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=self.FIELDS)
-                writer.writeheader()
-                writer.writerows(self._rows)
-
-
-class StderrReporter(Sink):
-    """Human-readable progress: one line per round, a table at the end."""
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        self._stream = stream if stream is not None else sys.stderr
-        self._lock = threading.Lock()
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        etype = event.get("type")
-        if etype == "round_metrics":
-            parts = []
-            for mid, m in sorted(event.get("metrics", {}).items()):
-                if m["kind"] == "counter":
-                    parts.append(f"{mid}={m['total']:g}")
-                elif m["kind"] == "gauge":
-                    parts.append(f"{mid}={m.get('last', 0.0):g}")
-                else:
-                    parts.append(f"{mid}~{m.get('mean', 0.0):.3g}")
-            with self._lock:
-                print(
-                    f"[obs] round {event.get('round')}: " + "  ".join(parts),
-                    file=self._stream,
-                )
-        elif etype == "run_summary":
-            buf = io.StringIO()
-            print("[obs] run summary:", file=buf)
-            for mid, m in sorted(event.get("metrics", {}).items()):
-                if m["kind"] == "counter":
-                    print(f"  {mid:<40s} total={m['total']:g}", file=buf)
-                elif m["kind"] == "gauge":
-                    print(
-                        f"  {mid:<40s} last={m.get('last', 0.0):g} "
-                        f"mean={m.get('mean', 0.0):g}",
-                        file=buf,
-                    )
-                else:
-                    print(
-                        f"  {mid:<40s} n={m.get('count', 0)} "
-                        f"mean={m.get('mean', 0.0):.4g} max={m.get('max', 0.0):.4g}",
-                        file=buf,
-                    )
-            with self._lock:
-                self._stream.write(buf.getvalue())

@@ -118,7 +118,7 @@ class Span:
         self.tracer._finish(self)
 
     def to_event(self) -> Dict[str, Any]:
-        """Serialize to the ``repro.obs/v1`` span-event dict."""
+        """Serialize to the ledger's ``span`` event dict."""
         return {
             "type": "span",
             "name": self.name,
@@ -177,10 +177,6 @@ class Tracer:
     def __init__(self, on_finish: Optional[Callable[[Span], None]] = None) -> None:
         self._stack = _Stack()
         self._on_finish = on_finish
-        self._count_lock = threading.Lock()
-        #: spans finished since construction/reset (all threads); read
-        #: without the lock is fine, writes must hold ``_count_lock``
-        self.finished_count = 0
 
     def span(
         self, name: str, *, parent: Optional[Span] = None, **attrs: Any
@@ -206,12 +202,5 @@ class Tracer:
             spans.remove(span)
 
     def _finish(self, span: Span) -> None:
-        with self._count_lock:
-            self.finished_count += 1
         if self._on_finish is not None:
             self._on_finish(span)
-
-    def note_finished(self) -> None:
-        """Count an externally-recorded span toward :attr:`finished_count`."""
-        with self._count_lock:
-            self.finished_count += 1

@@ -148,11 +148,11 @@ class TestCLI:
         assert "beta*" in capsys.readouterr().out
 
     def test_run_command_small(self, capsys, tmp_path):
-        out_path = tmp_path / "history.json"
+        out_path = tmp_path / "run.ledger.jsonl"
         code = main([
             "run", "--dataset", "synthetic", "--devices", "4",
             "--rounds", "3", "--tau", "2", "--eval-every", "3",
-            "--output", str(out_path),
+            "--ledger", str(out_path),
         ])
         assert code == 0
         assert out_path.exists()

@@ -188,7 +188,7 @@ class TestProcessPoolExecutor:
         assert len(set(ids)) == len(ids)
         assert seconds is not None and len(seconds) == len(clients)
 
-    def test_untraced_run_reports_no_client_seconds(self, tiny_dataset):
+    def test_untraced_run_reports_client_seconds(self, tiny_dataset):
         from repro.fl.executor_mp import ProcessPoolClientExecutor
         from repro.obs import telemetry
 
@@ -197,7 +197,9 @@ class TestProcessPoolExecutor:
         w0 = clients[0].model.init_parameters(0)
         with ProcessPoolClientExecutor(max_workers=2) as pool:
             pool.run_round(clients, w0, 1)
-            assert pool.last_client_seconds is None
+            seconds = pool.last_client_seconds
+        assert seconds is not None and len(seconds) == len(clients)
+        assert all(s > 0.0 for s in seconds)
 
 
 class TestBatchedCohortTracing:

@@ -1,11 +1,11 @@
 """Tests for repro.fl.history."""
 
-import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.fl.history import RoundRecord, TrainingHistory, format_comparison
-from repro.obs.ledger import LOSS_CEILING
+from repro.obs.ledger import LOSS_CEILING, RunLedger
 
 
 def record(i, loss, acc=0.5, grad=1.0):
@@ -17,6 +17,20 @@ def record(i, loss, acc=0.5, grad=1.0):
         sim_time=float(i),
         wall_time=float(i) * 0.1,
     )
+
+
+def through_ledger(history, tmp_path):
+    """Commit ``history``'s records to a run ledger and read it back."""
+    path = str(tmp_path / "run.ledger.jsonl")
+    ledger = RunLedger(path, fsync=False)
+    ledger.write_manifest(
+        dict(history.config, algorithm=history.algorithm),
+        attrs={"dataset": history.dataset},
+    )
+    for r in history.records:
+        ledger.commit_round(r.round_index, asdict(r), sim_time=r.sim_time)
+    ledger.close()
+    return TrainingHistory.from_ledger(path)
 
 
 class TestTrainingHistory:
@@ -73,22 +87,20 @@ class TestTrainingHistory:
         assert back.config == h.config
         assert back.series("train_loss") == h.series("train_loss")
 
-    def test_to_json_file(self, tmp_path):
+    def test_from_ledger_file(self, tmp_path):
         h = self.make()
-        path = tmp_path / "hist.json"
-        h.to_json(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["algorithm"] == "fedavg"
-        assert len(payload["records"]) == 3
+        back = through_ledger(h, tmp_path)
+        assert back.algorithm == "fedavg"
+        assert back.dataset == "toy"
+        assert back.config == {"tau": 5, "algorithm": "fedavg"}
+        assert back.records == h.records
 
     def test_straggler_gap_roundtrips_through_json(self, tmp_path):
         h = TrainingHistory("fedavg", "toy")
         r = record(1, 1.0)
         r.straggler_gap = 0.125
         h.append(r)
-        path = tmp_path / "hist.json"
-        h.to_json(str(path))
-        back = TrainingHistory.from_dict(json.loads(path.read_text()))
+        back = through_ledger(h, tmp_path)
         assert back.records[0].straggler_gap == 0.125
         assert back.series("straggler_gap") == [0.125]
 
@@ -106,9 +118,7 @@ class TestTrainingHistory:
         r = record(1, 1.0)
         r.grad_dissimilarity = 1.25
         h.append(r)
-        path = tmp_path / "hist.json"
-        h.to_json(str(path))
-        back = TrainingHistory.from_dict(json.loads(path.read_text()))
+        back = through_ledger(h, tmp_path)
         assert back.records[0].grad_dissimilarity == 1.25
         assert back.series("grad_dissimilarity") == [1.25]
 

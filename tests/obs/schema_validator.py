@@ -1,23 +1,23 @@
-"""Stdlib validator for the ``repro.obs/v1`` JSONL event schema.
+"""Stdlib validator for the ``repro.ledger/v2`` run-ledger schema.
 
 Used two ways:
 
 * imported by the obs test suite (``validate_event`` / ``validate_file``);
-* run by CI as a script over a real trace::
+* run by CI as a script over a real run ledger::
 
-      python tests/obs/schema_validator.py trace.jsonl
-      python tests/obs/schema_validator.py --ledger run.ledger.jsonl
+      python tests/obs/schema_validator.py run.ledger.jsonl
 
   exits non-zero and prints one line per violation if any event does
-  not conform to the schema documented in ``docs/OBSERVABILITY.md``
-  (``repro.obs/v1`` traces, or ``repro.ledger/v1`` run ledgers with
-  ``--ledger``).
+  not conform to the schema documented in ``docs/OBSERVABILITY.md``.
 
-Beyond structure, traces are checked against the *registries* of span
-and metric names the instrumentation is allowed to emit
-(:data:`KNOWN_SPAN_NAMES` / :data:`KNOWN_METRIC_NAMES`): a typo'd or
-undocumented name is a schema violation, which keeps the docs and the
-code from drifting apart.
+Deliberately an *independent* implementation of the checks in
+:meth:`repro.obs.ledger.LedgerReader.validate` (this script stays
+stdlib-standalone for CI), so the two validators cross-check each
+other's reading of the schema.  Beyond structure, span and metric
+events are checked against the *registries* of span and metric names
+the instrumentation is allowed to emit (:data:`KNOWN_SPAN_NAMES` /
+:data:`KNOWN_METRIC_NAMES`): a typo'd or undocumented name is a schema
+violation, which keeps the docs and the code from drifting apart.
 """
 
 from __future__ import annotations
@@ -27,15 +27,39 @@ import sys
 from typing import Any, Dict, List, Optional
 
 NUMBER = (int, float)
+OPTIONAL_NUMBER = NUMBER + (type(None),)
 
-#: event type -> {field: (types, required)}
+LEDGER_SCHEMA = "repro.ledger/v2"
+
+#: event type -> {field: (types, required)}; ``type`` is implicit
 _SPEC: Dict[str, Dict[str, tuple]] = {
-    "meta": {
+    "manifest": {
         "schema": ((str,), True),
-        "nn_profiling": ((bool,), True),
+        "run_id": ((str,), True),
+        "created_unix": (NUMBER, True),
+        "config": ((dict,), True),
+        "entropy": ((dict,), True),
+        "platform": ((dict,), True),
+        "packages": ((dict,), True),
         "attrs": ((dict,), False),
     },
+    "round": {
+        "cursor": ((int,), True),
+        "round": ((int,), True),
+        "evaluated": ((bool,), True),
+        "sim_time": (OPTIONAL_NUMBER, True),
+        "record": ((dict,), True),
+    },
+    "alert": {
+        "cursor": ((int,), True),
+        "round": ((int,), True),
+        "monitor": ((str,), True),
+        "severity": ((str,), True),
+        "message": ((str,), True),
+        "evidence": ((dict,), True),
+    },
     "span": {
+        "cursor": ((int,), True),
         "name": ((str,), True),
         "span_id": ((int,), True),
         "parent_id": ((int, type(None)), True),
@@ -45,17 +69,19 @@ _SPEC: Dict[str, Dict[str, tuple]] = {
         # set only on externally-reported spans (mp workers)
         "process": ((str,), False),
         "attrs": ((dict,), True),
-        "sim_time": (NUMBER + (type(None),), True),
+        "sim_time": (OPTIONAL_NUMBER, True),
     },
     "round_metrics": {
+        "cursor": ((int,), True),
         "round": ((int,), True),
-        "sim_time": (NUMBER + (type(None),), True),
+        "sim_time": (OPTIONAL_NUMBER, True),
         "metrics": ((dict,), True),
     },
-    "run_summary": {
-        "sim_time": (NUMBER + (type(None),), True),
-        "metrics": ((dict,), True),
-        "spans_emitted": ((int,), True),
+    "end": {
+        "cursor": ((int,), True),
+        "rounds": ((int,), True),
+        "alerts": ((int,), True),
+        "status": ((str,), True),
     },
 }
 
@@ -100,10 +126,6 @@ KNOWN_METRIC_NAMES = frozenset(
         "backend.shm.unlinked",
     }
 )
-
-#: ledger event types, in the only order sections may appear
-_LEDGER_SCHEMA = "repro.ledger/v1"
-_LEDGER_TYPES = ("manifest", "round", "alert", "hotspots", "end")
 
 
 def _metric_base(mid: str) -> str:
@@ -167,47 +189,16 @@ def validate_event(event: Any, where: str = "event") -> List[str]:
         name = event.get("name")
         if isinstance(name, str) and name not in KNOWN_SPAN_NAMES:
             errors.append(f"{where}: unregistered span name {name!r}")
-    if etype in ("round_metrics", "run_summary") and "metrics" in event:
+    if etype == "round_metrics" and "metrics" in event:
         _validate_metrics(event["metrics"], where, errors)
     return errors
 
 
 def validate_file(path: str) -> List[str]:
-    """Schema violations across a whole JSONL trace file."""
-    errors: List[str] = []
-    first_type: Optional[str] = None
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"{where}: invalid JSON ({exc})")
-                continue
-            count += 1
-            if first_type is None and isinstance(event, dict):
-                first_type = event.get("type")
-            errors.extend(validate_event(event, where))
-    if count == 0:
-        errors.append(f"{path}: trace contains no events")
-    elif first_type != "meta":
-        errors.append(f"{path}: first event must be 'meta', got {first_type!r}")
-    return errors
+    """All schema and ordering violations across one ledger file.
 
-
-def validate_ledger_file(path: str) -> List[str]:
-    """Contract violations across a ``repro.ledger/v1`` file.
-
-    Deliberately an *independent* implementation of the checks in
-    :meth:`repro.obs.ledger.LedgerReader.validate` (this script stays
-    stdlib-standalone for CI), so the two validators cross-check each
-    other's reading of the schema.  Torn final lines are legal — that
-    is the crash-recovery contract — but any earlier parse failure is
-    corruption.
+    Torn final lines are legal — that is the crash-recovery contract —
+    but any earlier parse failure is corruption.
     """
     errors: List[str] = []
     lines: List[str] = []
@@ -236,48 +227,40 @@ def validate_ledger_file(path: str) -> List[str]:
     first = events[0]
     if first.get("type") != "manifest":
         errors.append(f"{path}: first event must be 'manifest'")
-    elif first.get("schema") != _LEDGER_SCHEMA:
+    elif first.get("schema") != LEDGER_SCHEMA:
         errors.append(
             f"{path}: manifest schema {first.get('schema')!r} != "
-            f"{_LEDGER_SCHEMA!r}"
+            f"{LEDGER_SCHEMA!r}"
         )
     prev_cursor = -1
     prev_round = 0
     for i, event in enumerate(events):
         where = f"{path}: event {i}"
+        errors.extend(validate_event(event, where))
         etype = event.get("type")
-        if etype not in _LEDGER_TYPES:
-            errors.append(f"{where}: unknown ledger event type {etype!r}")
+        if etype not in _SPEC:
             continue
         if etype == "manifest":
             if i != 0:
                 errors.append(f"{where}: manifest must be the first event")
             continue
         cursor = event.get("cursor")
-        if not isinstance(cursor, int) or cursor <= prev_cursor:
-            errors.append(
-                f"{where}: cursor {cursor!r} not strictly increasing "
-                f"(previous {prev_cursor})"
-            )
-        else:
-            prev_cursor = cursor
-        if etype == "round":
-            rnd = event.get("round")
-            if not isinstance(rnd, int) or rnd < prev_round:
+        if isinstance(cursor, int):
+            if cursor <= prev_cursor:
                 errors.append(
-                    f"{where}: round {rnd!r} must be a non-decreasing "
-                    f"integer (previous {prev_round})"
+                    f"{where}: cursor {cursor!r} not strictly increasing "
+                    f"(previous {prev_cursor})"
                 )
             else:
-                prev_round = rnd
-            if not isinstance(event.get("record"), dict):
-                errors.append(f"{where}: round event missing 'record'")
-        if etype == "alert":
-            for field in ("monitor", "severity", "message"):
-                if not isinstance(event.get(field), str):
-                    errors.append(
-                        f"{where}: alert event missing string {field!r}"
-                    )
+                prev_cursor = cursor
+        if etype == "round" and isinstance(event.get("round"), int):
+            if event["round"] < prev_round:
+                errors.append(
+                    f"{where}: round {event['round']!r} must be a "
+                    f"non-decreasing integer (previous {prev_round})"
+                )
+            else:
+                prev_round = event["round"]
         if etype == "end" and i != len(events) - 1:
             errors.append(f"{where}: end event must be the last event")
     return errors
@@ -285,17 +268,13 @@ def validate_ledger_file(path: str) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ledger = "--ledger" in argv
-    argv = [a for a in argv if a != "--ledger"]
     if len(argv) != 1:
         print(
-            "usage: python tests/obs/schema_validator.py "
-            "[--ledger] FILE.jsonl",
+            "usage: python tests/obs/schema_validator.py LEDGER.jsonl",
             file=sys.stderr,
         )
         return 2
-    validator = validate_ledger_file if ledger else validate_file
-    errors = validator(argv[0])
+    errors = validate_file(argv[0])
     for err in errors:
         print(err, file=sys.stderr)
     if not errors:

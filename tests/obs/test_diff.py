@@ -32,14 +32,13 @@ def write_ledger(
         )
     for i in range(alerts):
         ledger.alert(len(losses), "divergence", f"alert {i}")
-    if hotspots:
-        ledger.hotspots(
-            [
-                {"name": name, "self_seconds": sec, "total_seconds": sec,
-                 "count": 1}
-                for name, sec in hotspots.items()
-            ]
-        )
+    # one root span per name: its self time is its duration
+    for span_id, (name, sec) in enumerate((hotspots or {}).items(), start=1):
+        ledger.emit({
+            "type": "span", "name": name, "span_id": span_id,
+            "parent_id": None, "t_wall": 0.0, "duration": sec,
+            "thread": "MainThread", "attrs": {}, "sim_time": None,
+        })
     ledger.close()
     return str(path)
 

@@ -1,7 +1,7 @@
 """End-to-end instrumentation tests over the federated stack.
 
 These run real (tiny) federated experiments with telemetry enabled and
-check the acceptance-level properties: traces validate against the
+check the acceptance-level properties: run ledgers validate against the
 schema, round spans account for the run wall time, straggler gaps reach
 ``RoundRecord``, solver counters reconcile with history, and the nn
 profiling hook produces per-layer timings only when asked.
@@ -14,11 +14,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.fl.history import TrainingHistory
 from repro.fl.runner import FederatedRunConfig, run_federated
 from repro.models import MultinomialLogisticModel, make_mlp_model
 from repro.obs import (
     InMemorySink,
-    JsonlSink,
     LedgerReader,
     RoundRecord,
     RunLedger,
@@ -26,7 +27,7 @@ from repro.obs import (
     telemetry,
 )
 from repro.obs.report import render_report
-from tests.obs.schema_validator import validate_file, validate_ledger_file
+from tests.obs.schema_validator import validate_file
 
 
 class InflatedLossModel(MultinomialLogisticModel):
@@ -59,28 +60,29 @@ def _config(**overrides):
 class TestTracedRun:
     @pytest.fixture()
     def traced_run(self, tiny_dataset, tiny_model_factory, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = InMemorySink()
-        telemetry.configure([JsonlSink(str(path)), sink])
+        path = str(tmp_path / "run.ledger.jsonl")
+        ledger = RunLedger(path)
+        telemetry.configure([ledger])
         try:
             history, _ = run_federated(
-                tiny_dataset, tiny_model_factory, _config()
+                tiny_dataset, tiny_model_factory, _config(), ledger=ledger
             )
         finally:
             telemetry.shutdown()
-        return history, path, sink
+        return history, path, LedgerReader(path)
 
     def test_trace_validates_and_report_renders(self, traced_run):
-        history, path, _ = traced_run
-        assert validate_file(str(path)) == []
-        report = render_report(str(path), top=5)
+        history, path, reader = traced_run
+        assert validate_file(path) == []
+        assert reader.validate() == []
+        report = render_report(path, top=5)
         assert "span tree" in report
         assert "local_solve" in report
         assert "round" in report
 
     def test_round_durations_sum_to_run_wall_time(self, traced_run):
-        _, _, sink = traced_run
-        spans = sink.by_type("span")
+        _, _, reader = traced_run
+        spans = reader.by_type("span")
         run = [e for e in spans if e["name"] == "run"]
         rounds = [e for e in spans if e["name"] == "round"]
         assert len(run) == 1 and len(rounds) == 4
@@ -97,36 +99,43 @@ class TestTracedRun:
             assert record.straggler_gap >= 0.0
 
     def test_counters_reconcile_with_history(self, traced_run):
-        history, _, sink = traced_run
+        history, _, reader = traced_run
         num_clients = 6
         expected_evals = sum(
             r.mean_gradient_evaluations * num_clients for r in history.records
         )
-        summary = sink.by_type("run_summary")[0]
-        total = summary["metrics"]["fl.client.grad_evals{fedproxvr-sarah}"]["total"]
+        metric = "fl.client.grad_evals{fedproxvr-sarah}"
+        total = sum(
+            e["metrics"][metric]["total"]
+            for e in reader.by_type("round_metrics")
+        )
         assert total == pytest.approx(expected_evals)
+        assert telemetry.metrics.snapshot()[metric]["total"] == total
 
     def test_round_metric_events_cover_every_round(self, traced_run):
-        _, _, sink = traced_run
-        rounds = [e["round"] for e in sink.by_type("round_metrics")]
+        _, _, reader = traced_run
+        rounds = [e["round"] for e in reader.by_type("round_metrics")]
         assert rounds == [1, 2, 3, 4]
-        for event in sink.by_type("round_metrics"):
+        for event in reader.by_type("round_metrics"):
             assert event["sim_time"] is not None
 
     def test_sim_time_stamped_on_round_spans(self, traced_run):
-        _, _, sink = traced_run
-        rounds = [e for e in sink.by_type("span") if e["name"] == "round"]
+        _, _, reader = traced_run
+        rounds = [e for e in reader.by_type("span") if e["name"] == "round"]
         sim_times = [e["sim_time"] for e in rounds]
         assert all(t is not None for t in sim_times)
         assert sim_times == sorted(sim_times)  # simulated time is monotone
 
 
 class TestDisabledRunUnchanged:
-    def test_no_events_and_no_straggler_gap(self, tiny_dataset, tiny_model_factory):
+    def test_straggler_gap_recorded_with_telemetry_off(
+        self, tiny_dataset, tiny_model_factory
+    ):
         assert not telemetry.enabled
         history, _ = run_federated(tiny_dataset, tiny_model_factory, _config())
         for record in history.records:
-            assert record.straggler_gap is None
+            assert record.straggler_gap is not None
+            assert record.straggler_gap >= 0.0
 
     def test_results_identical_with_and_without_telemetry(
         self, tiny_dataset, tiny_model_factory
@@ -162,7 +171,7 @@ class TestLedgeredRun:
         history, _, path, monitors = self._run(
             tiny_dataset, tiny_model_factory, tmp_path
         )
-        assert validate_ledger_file(path) == []
+        assert validate_file(path) == []
         reader = LedgerReader(str(path))
         assert reader.validate() == []
         assert reader.status == "completed"
@@ -209,6 +218,15 @@ class TestLedgeredRun:
             for name in eval_fields:
                 assert (event["record"][name] is None) is unevaluated
 
+    def test_history_rebuilds_from_ledger(
+        self, tiny_dataset, tiny_model_factory, tmp_path
+    ):
+        history, _, path, _ = self._run(
+            tiny_dataset, tiny_model_factory, tmp_path, eval_every=2
+        )
+        assert [r.round_index for r in history.records] == [2, 4]
+        assert TrainingHistory.from_ledger(path).to_dict() == history.to_dict()
+
     @pytest.mark.parametrize("scale, diverges", [(1e7, False), (1e9, True)])
     def test_one_divergence_rule_stops_alerts_and_closes(
         self, tiny_dataset, tmp_path, scale, diverges
@@ -250,12 +268,13 @@ class TestThreadExecutorRun:
     def test_traced_thread_run_matches_sequential(
         self, tiny_dataset, tiny_model_factory, tmp_path
     ):
-        path = tmp_path / "thread.jsonl"
-        telemetry.configure([JsonlSink(str(path))])
+        path = str(tmp_path / "thread.ledger.jsonl")
+        ledger = RunLedger(path)
+        telemetry.configure([ledger])
         try:
             history_thread, w_thread = run_federated(
                 tiny_dataset, tiny_model_factory,
-                _config(executor="thread", max_workers=4),
+                _config(executor="thread", max_workers=4), ledger=ledger,
             )
         finally:
             telemetry.shutdown()
@@ -263,7 +282,12 @@ class TestThreadExecutorRun:
             tiny_dataset, tiny_model_factory, _config()
         )
         np.testing.assert_allclose(w_thread, w_seq)
-        assert validate_file(str(path)) == []
+        assert validate_file(path) == []
+        solves = [
+            e for e in LedgerReader(path).by_type("span")
+            if e["name"] == "local_solve"
+        ]
+        assert len(solves) == 6 * 4  # clients x rounds
 
 
 class TestNNProfiling:
@@ -297,3 +321,66 @@ class TestNNProfiling:
         assert any("Dense" in m for m in forward)
         for mid in forward:
             assert snap_prof[mid]["count"] > 0
+
+
+class TestCliRunLedger:
+    """``repro run --ledger``: the one file a CLI run writes."""
+
+    ROUNDS = 3
+
+    @pytest.fixture(scope="class")
+    def ledgers(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cli")
+        paths = []
+        for seed in (1, 2):
+            path = str(out / f"seed{seed}.ledger.jsonl")
+            assert main([
+                "run", "--devices", "5", "--rounds", str(self.ROUNDS),
+                "--tau", "5", "--eval-every", "1", "--seed", str(seed),
+                "--ledger", path,
+            ]) == 0
+            paths.append(path)
+        return paths
+
+    def test_ledger_passes_both_validators(self, ledgers):
+        for path in ledgers:
+            assert LedgerReader(path).validate() == []
+            assert validate_file(path) == []
+
+    def test_spans_follow_the_manifest(self, ledgers):
+        events = LedgerReader(ledgers[0]).events
+        assert events[0]["type"] == "manifest"
+        assert events[0]["attrs"]["model"] == "MultinomialLogisticModel"
+        # emitted before the manifest, written right after it
+        assert events[1]["type"] == "span"
+        assert events[1]["name"] == "estimate_smoothness"
+        names = {e["name"] for e in events if e["type"] == "span"}
+        assert names >= {"run", "round", "eval", "local_solve"}
+
+    def test_round_metrics_and_straggler_gap_every_round(self, ledgers):
+        reader = LedgerReader(ledgers[0])
+        rounds = list(range(1, self.ROUNDS + 1))
+        assert [e["round"] for e in reader.by_type("round_metrics")] == rounds
+        assert [e["round"] for e in reader.rounds()] == rounds
+        for event in reader.rounds():
+            assert event["record"]["straggler_gap"] is not None
+
+    def test_obs_report_prints_span_tree_and_hotspots(self, ledgers, capsys):
+        assert main(["obs-report", ledgers[0]]) == 0
+        out = capsys.readouterr().out
+        assert "span tree" in out
+        assert "hotspots (self time)" in out
+        assert "local_solve" in out
+
+    def test_obs_diff_has_local_solve_hotspot_row(self, ledgers, capsys):
+        assert main(["obs-diff", *ledgers]) == 0
+        out = capsys.readouterr().out
+        assert "span self-time" in out
+        assert any(
+            line.split()[:1] == ["local_solve"] for line in out.splitlines()
+        )
+
+    @pytest.mark.parametrize("flag", ["--fail-fast", "--profile-nn"])
+    def test_monitor_and_profile_flags_need_a_ledger(self, flag, capsys):
+        assert main(["run", "--rounds", "1", flag]) == 2
+        assert "need --ledger" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for the append-only run ledger (``repro.ledger/v1``).
+"""Tests for the append-only run ledger (``repro.ledger/v2``).
 
 Covers the durability contract the checkpoint/resume control plane
 depends on: cursor monotonicity, torn-final-line crash recovery,
@@ -20,7 +20,7 @@ from repro.obs.ledger import (
     RunLedger,
     package_digest,
 )
-from tests.obs.schema_validator import validate_ledger_file
+from tests.obs.schema_validator import validate_file
 
 
 def _write_run(path, *, rounds=3, alerts=0, status="completed"):
@@ -127,7 +127,7 @@ class TestCrashRecovery:
         assert resume["next_round"] == 3
         assert resume["truncated"] is True
         assert resume["status"] is None  # no end event: unclean shutdown
-        assert validate_ledger_file(str(path)) == []
+        assert validate_file(str(path)) == []
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -137,7 +137,7 @@ class TestCrashRecovery:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LedgerError, match="corrupt mid-file"):
             LedgerReader(str(path))
-        assert validate_ledger_file(str(path)) != []
+        assert validate_file(str(path)) != []
 
     def test_resume_point_on_fresh_ledger(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -175,7 +175,7 @@ class TestValidation:
         errors = LedgerReader(str(path)).validate()
         assert any("monotonic" in e for e in errors)
         assert any(
-            "increasing" in e for e in validate_ledger_file(str(path))
+            "increasing" in e for e in validate_file(str(path))
         )
 
     def test_detects_decreasing_round(self, tmp_path):
@@ -197,7 +197,7 @@ class TestValidation:
             "manifest" in e for e in LedgerReader(str(path)).validate()
         )
         assert any(
-            "manifest" in e for e in validate_ledger_file(str(path))
+            "manifest" in e for e in validate_file(str(path))
         )
 
     def test_detects_wrong_schema_tag(self, tmp_path):
@@ -224,7 +224,7 @@ class TestValidation:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert LedgerReader(str(path)).validate() != []
-        assert validate_ledger_file(str(path)) != []
+        assert validate_file(str(path)) != []
 
 
 class TestObsCheckCli:

@@ -1,19 +1,11 @@
-"""Tests for the obs-report renderer over synthetic traces."""
+"""Tests for the obs-report renderer over synthetic run ledgers."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs.ledger import RunLedger
-from repro.obs.report import (
-    aggregate_tree,
-    load_events,
-    render_ledger_report,
-    render_report,
-    top_hotspots,
-)
+from repro.obs.ledger import LedgerReader, RunLedger
+from repro.obs.report import aggregate_tree, render_report, top_hotspots
 
 
 def _span(span_id, parent_id, name, duration, process=None, **attrs):
@@ -28,9 +20,8 @@ def _span(span_id, parent_id, name, duration, process=None, **attrs):
 
 
 @pytest.fixture()
-def trace_file(tmp_path):
+def ledger_file(tmp_path):
     events = [
-        {"type": "meta", "schema": "repro.obs/v1", "nn_profiling": False},
         _span(2, 1, "round", 0.6, s=1),
         _span(3, 1, "round", 0.4, s=2),
         _span(4, 2, "local_solve", 0.5, client=0, round=1),
@@ -38,34 +29,43 @@ def trace_file(tmp_path):
         _span(1, None, "run", 1.0),
         {"type": "round_metrics", "round": 1, "sim_time": 1.0, "metrics": {}},
     ]
-    path = tmp_path / "trace.jsonl"
-    with open(path, "w") as fh:
-        for e in events:
-            fh.write(json.dumps(e) + "\n")
+    path = tmp_path / "run.ledger.jsonl"
+    ledger = RunLedger(str(path), fsync=False)
+    ledger.write_manifest({"algorithm": "fedavg"})
+    for event in events:
+        ledger.emit(event)
+    ledger.close()
     return str(path)
 
 
+def _events(path):
+    return LedgerReader(path).events
+
+
 class TestLoadEvents:
-    def test_roundtrip(self, trace_file):
-        events = load_events(trace_file)
-        assert len(events) == 7
+    """The report reads its input through :class:`LedgerReader`."""
+
+    def test_roundtrip(self, ledger_file):
+        events = _events(ledger_file)
+        assert len(events) == 8  # manifest + 6 telemetry events + end
+        assert len([e for e in events if e["type"] == "span"]) == 5
 
     def test_bad_json_raises_with_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "meta"}\nnot json\n')
+        path.write_text('{"type": "manifest"}\nnot json\n{}\n')
         with pytest.raises(ValueError, match=":2"):
-            load_events(str(path))
+            render_report(str(path))
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match="not an object"):
-            load_events(str(path))
+            render_report(str(path))
 
 
 class TestAggregateTree:
-    def test_paths_and_totals(self, trace_file):
-        agg = aggregate_tree(load_events(trace_file))
+    def test_paths_and_totals(self, ledger_file):
+        agg = aggregate_tree(_events(ledger_file))
         assert agg[("run",)]["count"] == 1
         assert agg[("run", "round")]["count"] == 2
         assert agg[("run", "round")]["total"] == pytest.approx(1.0)
@@ -80,15 +80,16 @@ class TestAggregateTree:
 
 
 class TestHotspots:
-    def test_self_time_subtracts_children(self, trace_file):
-        rows = {r["name"]: r for r in top_hotspots(load_events(trace_file), 10)}
+    def test_self_time_subtracts_children(self, ledger_file):
+        rows = {r["name"]: r for r in top_hotspots(_events(ledger_file), 10)}
         assert rows["local_solve"]["self"] == pytest.approx(0.8)
         # rounds: (0.6 - 0.5) + (0.4 - 0.3)
         assert rows["round"]["self"] == pytest.approx(0.2)
         assert rows["run"]["self"] == pytest.approx(0.0)
 
-    def test_k_limits_rows(self, trace_file):
-        assert len(top_hotspots(load_events(trace_file), 1)) == 1
+    def test_k_limits_rows(self, ledger_file):
+        assert len(top_hotspots(_events(ledger_file), None)) == 3
+        assert len(top_hotspots(_events(ledger_file), 1)) == 1
 
 
 class TestCrossProcessSpans:
@@ -140,16 +141,13 @@ class TestRenderLedgerReport:
         )
         for _ in range(alerts):
             ledger.alert(1, "divergence", "loss is non-finite: nan")
-        ledger.hotspots(
-            [{"name": "local_solve", "self_seconds": 0.1,
-              "total_seconds": 0.1, "count": 4}]
-        )
+        ledger.emit(_span(1, None, "local_solve", 0.1))
         ledger.close()
         return str(path)
 
     def test_contains_sections(self, tmp_path):
-        text = render_ledger_report(self._ledger(tmp_path))
-        assert "repro.ledger/v1" in text
+        text = render_report(self._ledger(tmp_path))
+        assert "repro.ledger/v2" in text
         assert "status: completed" in text
         assert "algorithm='fedavg'" in text
         assert "grad_dissimilarity" in text
@@ -158,7 +156,7 @@ class TestRenderLedgerReport:
         assert "hotspots" in text and "local_solve" in text
 
     def test_renders_alerts(self, tmp_path):
-        text = render_ledger_report(self._ledger(tmp_path, alerts=1))
+        text = render_report(self._ledger(tmp_path, alerts=1))
         assert "alerts: 1" in text
         assert "[error] divergence" in text
 
@@ -166,21 +164,22 @@ class TestRenderLedgerReport:
         path = self._ledger(tmp_path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"type": "round", "curs')
-        text = render_ledger_report(path)
+        text = render_report(path)
         assert "[torn final line dropped]" in text
 
 
 class TestRenderReport:
-    def test_contains_sections_and_names(self, trace_file):
-        text = render_report(trace_file, top=3)
+    def test_contains_sections_and_names(self, ledger_file):
+        text = render_report(ledger_file, top=3)
         assert "span tree" in text
         assert "hotspots" in text
         assert "local_solve" in text
-        assert "repro.obs/v1" in text
-        assert "final simulated time" not in text  # spans carry no sim_time
+        assert "repro.ledger/v2" in text
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
+        ledger = RunLedger(str(path), fsync=False)
+        ledger.write_manifest({})
+        ledger.close()
         text = render_report(str(path))
         assert "(no span events)" in text

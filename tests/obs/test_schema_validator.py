@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 
+from repro.obs import RunLedger
 from tests.obs import schema_validator as sv
 
 
 def _valid_span():
     return {
-        "type": "span", "name": "round", "span_id": 1, "parent_id": None,
-        "t_wall": 1.0, "duration": 0.1, "thread": "MainThread",
-        "attrs": {"s": 1}, "sim_time": None,
+        "type": "span", "cursor": 0, "name": "round", "span_id": 1,
+        "parent_id": None, "t_wall": 1.0, "duration": 0.1,
+        "thread": "MainThread", "attrs": {"s": 1}, "sim_time": None,
     }
 
 
@@ -51,6 +52,10 @@ class TestValidateEvent:
         errors = sv.validate_event(span)
         assert any("unregistered span name" in e for e in errors)
 
+    def test_ledger_event_fields_checked(self):
+        end = {"type": "end", "cursor": 3, "rounds": 1, "alerts": 0}
+        assert any("status" in e for e in sv.validate_event(end))
+
     def test_process_field_allowed_on_spans(self):
         span = _valid_span()
         span["name"] = "local_solve"
@@ -59,7 +64,7 @@ class TestValidateEvent:
 
     def test_unregistered_metric_name_flagged(self):
         event = {
-            "type": "round_metrics", "round": 1, "sim_time": None,
+            "type": "round_metrics", "cursor": 0, "round": 1, "sim_time": None,
             "metrics": {
                 "fl.surprise.metric": {"kind": "counter", "total": 1.0},
             },
@@ -69,7 +74,7 @@ class TestValidateEvent:
 
     def test_keyed_metric_id_resolves_to_base_name(self):
         event = {
-            "type": "round_metrics", "round": 1, "sim_time": None,
+            "type": "round_metrics", "cursor": 0, "round": 1, "sim_time": None,
             "metrics": {
                 "obs.monitor.alerts{divergence}": {
                     "kind": "counter", "total": 1.0,
@@ -80,7 +85,7 @@ class TestValidateEvent:
 
     def test_histogram_shape_checked(self):
         event = {
-            "type": "round_metrics", "round": 1, "sim_time": None,
+            "type": "round_metrics", "cursor": 0, "round": 1, "sim_time": None,
             "metrics": {
                 "h": {"kind": "histogram", "count": 1, "sum": 0.1,
                       "buckets": [1.0, 2.0], "counts": [1, 0]},
@@ -96,19 +101,21 @@ class TestValidateFile:
         path.write_text("")
         assert sv.validate_file(str(path))
 
-    def test_first_event_must_be_meta(self, tmp_path):
+    def test_first_event_must_be_manifest(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(_valid_span()) + "\n")
         errors = sv.validate_file(str(path))
-        assert any("meta" in e for e in errors)
+        assert any("manifest" in e for e in errors)
 
-    def test_cli_main(self, tmp_path, capsys):
+    def test_cli_main(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"type": "meta", "schema": "repro.obs/v1",
-                                 "nn_profiling": False}) + "\n")
-            fh.write(json.dumps(_valid_span()) + "\n")
+        ledger = RunLedger(str(path), fsync=False)
+        ledger.write_manifest({"algorithm": "fedavg"})
+        span = _valid_span()
+        del span["cursor"]  # the ledger assigns it
+        ledger.emit(span)
+        ledger.close()
         assert sv.main([str(path)]) == 0
         assert sv.main([]) == 2
-        path.write_text("garbage\n")
+        path.write_text("garbage\n{}\n")
         assert sv.main([str(path)]) == 1

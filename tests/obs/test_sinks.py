@@ -1,105 +1,61 @@
-"""Tests for the telemetry sinks (JSONL, CSV, stderr, in-memory)."""
+"""Tests for the telemetry sinks (the run ledger and the in-memory sink)."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import pytest
 
-from repro.obs import (
-    CsvMetricsSink,
-    InMemorySink,
-    JsonlSink,
-    StderrReporter,
-    telemetry,
-)
+from repro.obs import InMemorySink, LedgerError, RunLedger, telemetry
 from tests.obs.schema_validator import validate_file
 
 
 class TestInMemorySink:
     def test_collects_in_order(self):
         sink = InMemorySink()
-        sink.emit({"type": "meta", "schema": "x", "nn_profiling": False})
+        sink.emit({"type": "round_metrics", "round": 1, "metrics": {}})
         sink.emit({"type": "span", "name": "a"})
-        assert [e["type"] for e in sink.events] == ["meta", "span"]
+        assert [e["type"] for e in sink.events] == ["round_metrics", "span"]
         assert [e["name"] for e in sink.by_type("span")] == ["a"]
 
 
-class TestJsonlSink:
+class TestLedgerSink:
     def test_writes_one_json_object_per_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(str(path))
-        sink.emit({"type": "meta", "schema": "s", "nn_profiling": False})
-        sink.emit({"type": "round_metrics", "round": 1, "sim_time": None,
-                   "metrics": {}})
-        sink.close()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["type"] == "meta"
+        path = tmp_path / "run.jsonl"
+        ledger = RunLedger(str(path), fsync=False)
+        ledger.emit({"type": "span", "name": "early"})  # held until manifest
+        ledger.write_manifest({})
+        ledger.emit({"type": "round_metrics", "round": 1, "sim_time": None,
+                     "metrics": {}})
+        ledger.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["type"] for e in events] == [
+            "manifest", "span", "round_metrics", "end"
+        ]
+        assert events[1]["name"] == "early"
+        assert [e["cursor"] for e in events[1:]] == [0, 1, 2]
 
     def test_emit_after_close_raises(self, tmp_path):
-        sink = JsonlSink(str(tmp_path / "t.jsonl"))
-        sink.close()
-        with pytest.raises(RuntimeError):
-            sink.emit({"type": "meta"})
+        ledger = RunLedger(str(tmp_path / "run.jsonl"), fsync=False)
+        ledger.write_manifest({})
+        ledger.close()
+        with pytest.raises(LedgerError, match="closed"):
+            ledger.emit({"type": "span", "name": "late"})
+
+    def test_emit_takes_only_telemetry_events(self, tmp_path):
+        ledger = RunLedger(str(tmp_path / "run.jsonl"), fsync=False)
+        with pytest.raises(LedgerError, match="emit takes"):
+            ledger.emit({"type": "round", "round": 1})
+        ledger.close()
 
     def test_full_session_produces_schema_valid_file(self, tmp_path):
         path = tmp_path / "session.jsonl"
-        telemetry.configure([JsonlSink(str(path))])
+        ledger = RunLedger(str(path), fsync=False)
+        telemetry.configure([ledger])
         with telemetry.span("run"):
             with telemetry.span("round", s=1):
                 telemetry.counter_add("fl.client.grad_evals", 3)
             telemetry.round_finished(1)
-        telemetry.shutdown()
+        ledger.write_manifest({"algorithm": "fedavg"})
+        telemetry.shutdown()  # closes the ledger
         assert validate_file(str(path)) == []
-
-
-class TestCsvMetricsSink:
-    def _metrics(self):
-        return {
-            "c": {"kind": "counter", "total": 5.0},
-            "g": {"kind": "gauge", "last": 1.5, "count": 1, "sum": 1.5,
-                  "min": 1.5, "max": 1.5, "mean": 1.5},
-        }
-
-    def test_round_and_run_rows(self, tmp_path):
-        path = tmp_path / "m.csv"
-        sink = CsvMetricsSink(str(path))
-        sink.emit({"type": "round_metrics", "round": 2, "sim_time": None,
-                   "metrics": self._metrics()})
-        sink.emit({"type": "run_summary", "sim_time": None,
-                   "metrics": self._metrics(), "spans_emitted": 0})
-        sink.emit({"type": "span", "name": "ignored"})  # spans are skipped
-        sink.close()
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        round_rows = [r for r in rows if r["scope"] == "round"]
-        assert {r["metric"] for r in round_rows} == {"c", "g"}
-        assert round_rows[0]["round"] == "2"
-        run_rows = [r for r in rows if r["scope"] == "run"]
-        assert {(r["metric"], r["value"]) for r in run_rows} == {
-            ("c", "5.0"), ("g", "1.5"),
-        }
-
-    def test_close_idempotent(self, tmp_path):
-        sink = CsvMetricsSink(str(tmp_path / "m.csv"))
-        sink.close()
-        sink.close()
-
-
-class TestStderrReporter:
-    def test_round_line_and_summary(self):
-        buf = io.StringIO()
-        sink = StderrReporter(stream=buf)
-        sink.emit({"type": "round_metrics", "round": 1, "sim_time": None,
-                   "metrics": {"c": {"kind": "counter", "total": 3.0}}})
-        sink.emit({"type": "run_summary", "sim_time": None, "spans_emitted": 2,
-                   "metrics": {"h": {"kind": "histogram", "count": 2,
-                                     "sum": 0.2, "mean": 0.1, "max": 0.15,
-                                     "buckets": [1.0], "counts": [2, 0]}}})
-        out = buf.getvalue()
-        assert "round 1" in out and "c=3" in out
-        assert "run summary" in out and "h" in out

@@ -2,19 +2,19 @@
 
 Eight clients solve concurrently across several rounds; every
 ``local_solve`` span must nest under the *correct* round parent, no
-event may be lost, and JSONL output must not interleave.
+event may be lost, and the run ledger's JSONL lines must not interleave.
 """
 
 from __future__ import annotations
 
-import json
+import sys
 
 from repro.core.local import FedAvgLocalSolver
 from repro.datasets import make_synthetic
 from repro.fl.client import Client
 from repro.fl.executor import ThreadPoolClientExecutor
 from repro.models import MultinomialLogisticModel
-from repro.obs import JsonlSink, telemetry
+from repro.obs import LedgerReader, RunLedger, telemetry
 from tests.obs.schema_validator import validate_file
 
 NUM_CLIENTS = 8
@@ -84,22 +84,23 @@ def test_spans_nest_under_correct_round_and_none_are_lost(
 def test_jsonl_lines_do_not_interleave_across_threads(tmp_path):
     clients, w0 = _make_clients()
     path = tmp_path / "threads.jsonl"
-    telemetry.configure([JsonlSink(str(path))])
+    ledger = RunLedger(str(path), fsync=False)
+    ledger.write_manifest({})
+    telemetry.configure([ledger])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # force thread switches mid-emit
     try:
         with ThreadPoolClientExecutor(max_workers=8) as executor:
             for s in range(1, NUM_ROUNDS + 1):
                 with telemetry.span("round", s=s):
                     executor.run_round(clients, w0, s)
     finally:
+        sys.setswitchinterval(interval)
         telemetry.shutdown()
 
-    # every line parses and passes schema validation => no torn writes
+    # every line parses and passes schema validation (strictly
+    # increasing cursors) => no torn writes and no lost cursor updates
     assert validate_file(str(path)) == []
-    with open(path) as fh:
-        names = [
-            json.loads(line).get("name")
-            for line in fh
-            if json.loads(line).get("type") == "span"
-        ]
+    names = [e["name"] for e in LedgerReader(str(path)).by_type("span")]
     assert names.count("local_solve") == NUM_CLIENTS * NUM_ROUNDS
     assert names.count("round") == NUM_ROUNDS

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs import NOOP_SPAN, Span, Tracer, telemetry
+from repro.obs import (
+    NOOP_SPAN,
+    LedgerReader,
+    RunLedger,
+    Span,
+    Tracer,
+    telemetry,
+)
 
 
 class TestTracer:
@@ -126,13 +133,17 @@ class TestEnabledFacade:
         with pytest.raises(RuntimeError):
             telemetry.configure([])
 
-    def test_shutdown_emits_run_summary_and_disables(self, memory_session):
+    def test_shutdown_closes_sinks_and_keeps_totals(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        ledger = RunLedger(path, fsync=False)
+        ledger.write_manifest({})
+        telemetry.configure([ledger])
         telemetry.counter_add("n", 2)
         telemetry.shutdown()
         assert not telemetry.enabled
-        summaries = memory_session.by_type("run_summary")
-        assert len(summaries) == 1
-        assert summaries[0]["metrics"]["n"]["total"] == 2.0
+        assert LedgerReader(path).status == "completed"
+        # the in-process total outlives the session
+        assert telemetry.metrics.snapshot()["n"]["total"] == 2.0
 
     def test_sim_clock_stamps_events(self, memory_session):
         class FakeClock:

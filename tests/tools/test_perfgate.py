@@ -243,6 +243,7 @@ class TestMacroBenchSmoke:
     def test_ledger_dir_emits_per_cell_ledgers(self, tmp_path):
         from repro.obs.diff import diff_ledgers
         from repro.obs.ledger import LedgerReader
+        from tests.obs.schema_validator import validate_file
         from tools.perfbench import main as perfbench_main
 
         ledger_dir = tmp_path / "ledgers"
@@ -257,14 +258,17 @@ class TestMacroBenchSmoke:
             for algo in ("fedavg", "fedproxvr-svrg", "fedproxvr-sarah")
             for execu in ("sequential", "batched")
         )
+        for path in ledger_dir.iterdir():
+            assert LedgerReader(str(path)).validate() == []
+            assert validate_file(str(path)) == []
         reader = LedgerReader(str(ledger_dir / "fedavg.batched.ledger.jsonl"))
-        assert reader.validate() == []
         manifest = reader.manifest
         assert manifest["attrs"]["perfbench"] is True
         assert manifest["attrs"]["executor"] == "batched"
         assert manifest["attrs"]["wall_seconds"] > 0
         assert reader.rounds()  # per-round records from the history
-        assert reader.by_type("hotspots")  # the drill-down payload
+        # the drill-down payload: the traced cell run's span events
+        assert "cohort_solve" in {e["name"] for e in reader.by_type("span")}
         # the executor pair diffs cleanly: bit-identical metrics, and a
         # structural span swap must not read as a regression
         result = diff_ledgers(
@@ -274,6 +278,8 @@ class TestMacroBenchSmoke:
         assert result["shared_rounds"] >= 1
         assert result["metrics"]["train_loss"]["delta"] == 0.0
         assert result["same_source"] is True
+        assert result["hotspots"]["local_solve"]["status"] == "vanished"
+        assert result["hotspots"]["cohort_solve"]["status"] == "new"
 
     def test_client_scaling_smoke(self, tmp_path):
         from tools.perfbench import main as perfbench_main

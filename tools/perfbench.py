@@ -160,18 +160,15 @@ def run_workload(
     return seconds, history, w_final
 
 
-def capture_hotspots(
+def capture_spans(
     workload,
     algorithm: str,
     mu: float,
     solver_kwargs=None,
-    k: int = 8,
     executor: str = "batched",
 ) -> List[dict]:
-    """Top self-time spans of one traced run (default: batched)."""
-    from repro.obs import telemetry
-    from repro.obs.report import top_hotspots
-    from repro.obs.sinks import InMemorySink
+    """Span events of one traced run (default: batched)."""
+    from repro.obs import InMemorySink, telemetry
 
     sink = InMemorySink()
     telemetry.configure([sink])
@@ -179,7 +176,7 @@ def capture_hotspots(
         run_workload(workload, algorithm, mu, executor, solver_kwargs=solver_kwargs)
     finally:
         telemetry.shutdown()
-    return top_hotspots(sink.events, k=k)
+    return sink.by_type("span")
 
 
 def emit_run_ledger(
@@ -189,15 +186,15 @@ def emit_run_ledger(
     executor: str,
     seconds: float,
     history,
-    hotspots: Optional[List[dict]] = None,
+    spans: Optional[List[dict]] = None,
 ) -> None:
-    """Write one macro-bench cell as a ``repro.ledger/v1`` file.
+    """Write one macro-bench cell as a ``repro.ledger/v2`` file.
 
     The BENCH_*.json artifact commits only the speedup *ratios*; the
     ledger is the drill-down behind them — the run's resolved config,
-    its per-round records, and (when captured) the span self-time
-    hotspots that ``repro obs-diff`` aligns across executors or
-    commits to explain a gate failure.
+    its per-round records, and (when captured) the span events of a
+    traced run, whose self-time hotspots ``repro obs-diff`` aligns
+    across executors or commits to explain a gate failure.
     """
     from repro.obs import RunLedger
 
@@ -216,19 +213,8 @@ def emit_run_ledger(
         ledger.commit_round(
             rec.round_index, asdict(rec), sim_time=rec.sim_time
         )
-    if hotspots:
-        ledger.hotspots(
-            [
-                {
-                    "name": h["name"],
-                    "self_seconds": h["self"],
-                    "total_seconds": h["total"],
-                    "count": h["count"],
-                }
-                for h in hotspots
-            ],
-            label=f"{algorithm}/{executor}",
-        )
+    for span in spans or ():
+        ledger.emit(span)
     ledger.close("completed")
 
 
@@ -432,14 +418,14 @@ def run_macro(workload: Dict[str, object], args) -> Dict[str, object]:
         )
         if ledger_dir:
             # One extra traced run per cell pays for the drill-down:
-            # each ledger carries the cell's hotspot profile so
+            # each ledger carries the cell's span events so
             # ``repro obs-diff`` can attribute a speedup (or a gate
             # failure) to specific spans, not just the total.
             for executor, seconds, history in (
                 ("sequential", seq_seconds, h_seq),
                 ("batched", bat_seconds, h_bat),
             ):
-                spots = capture_hotspots(
+                spans = capture_spans(
                     workload, algorithm, mu, solver_kwargs, executor=executor
                 )
                 path = os.path.join(
@@ -447,7 +433,7 @@ def run_macro(workload: Dict[str, object], args) -> Dict[str, object]:
                 )
                 emit_run_ledger(
                     path, workload, algorithm, executor, seconds, history,
-                    hotspots=spots,
+                    spans=spans,
                 )
                 print(f"  ledger: {path}")
     speedups = [r["speedup"] for r in results.values()]
@@ -457,9 +443,11 @@ def run_macro(workload: Dict[str, object], args) -> Dict[str, object]:
         "geomean_speedup": round(float(np.exp(np.mean(np.log(speedups)))), 4),
     }
     if args.hotspots:
+        from repro.obs.report import top_hotspots
+
         algorithm, mu, solver_kwargs = ALGOS[-1]
-        section["hotspots"] = capture_hotspots(
-            workload, algorithm, mu, solver_kwargs
+        section["hotspots"] = top_hotspots(
+            capture_spans(workload, algorithm, mu, solver_kwargs), k=8
         )
     return section
 
@@ -482,10 +470,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--hotspots", action="store_true",
                         help="record top self-time spans of a traced batched run")
     parser.add_argument("--ledger-dir", default=None,
-                        help="also emit one repro.ledger/v1 file per "
+                        help="also emit one repro.ledger/v2 file per "
                              "(algorithm, executor) macro cell into this "
                              "directory (config manifest, round records, "
-                             "hotspot snapshot) for repro obs-diff")
+                             "span events of a traced run) for repro obs-diff")
     parser.add_argument("--client-scaling", action="store_true",
                         help="also run the massive-cohort scaling axis "
                              "(virtual clients, lazy shards)")
