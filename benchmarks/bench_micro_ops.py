@@ -13,6 +13,7 @@ from repro.core.estimators import make_estimator
 from repro.core.proximal import QuadraticProx
 from repro.fl.aggregation import weighted_average
 from repro.models import MultinomialLogisticModel, make_paper_cnn_model
+from repro.nn import MaxPool2D
 from repro.nn.im2col import col2im, im2col
 
 
@@ -74,5 +75,27 @@ class TestConvThroughput:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((64, 784))
         y = rng.integers(0, 10, 64)
+        w = model.init_parameters(0)
+        benchmark(lambda: model.loss_and_gradient(w, X, y))
+
+    def test_maxpool_forward_backward_fig3(self, benchmark):
+        # conv1's output in the fig3-cnn bench workload: B=8, 2 channels
+        pool = MaxPool2D(2)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((8, 2, 28, 28))
+        g = rng.standard_normal((8, 2, 14, 14))
+
+        def step():
+            pool.forward(x, train=True)
+            return pool.backward(g)
+
+        benchmark(step)
+
+    def test_cnn_gradient_fig3(self, benchmark):
+        # the fig3-cnn bench workload's network and minibatch size
+        model = make_paper_cnn_model((1, 28, 28), 10, channel_scale=0.0625, seed=0)
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((8, 784))
+        y = rng.integers(0, 10, 8)
         w = model.init_parameters(0)
         benchmark(lambda: model.loss_and_gradient(w, X, y))

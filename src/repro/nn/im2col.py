@@ -4,8 +4,8 @@ Convolution as matrix multiplication: every receptive-field patch is
 unrolled into a column, so the convolution becomes a single GEMM — the
 classic HPC trick that turns a six-deep Python loop into one BLAS call.
 ``im2col`` is implemented with stride tricks (a zero-copy sliding-window
-view followed by one reshape-copy), ``col2im`` with ``np.add.at``
-scatter-accumulation.
+view followed by one reshape-copy), ``col2im`` with one strided slice
+add per kernel offset.
 
 Layout conventions: images are ``(N, C, H, W)``; columns are
 ``(C*KH*KW, N*OH*OW)``.
@@ -16,6 +16,9 @@ therefore accepts an ``out=`` buffer, and :class:`Im2colScratch` keeps
 one correctly-shaped buffer alive across same-geometry calls — the
 shapes are fixed for a whole training run, so after the first call the
 lowering is a single strided copy with no allocator traffic.
+``padding > 0`` still allocates a padded copy of the input per call
+(``np.pad``); :class:`repro.nn.Conv2D` instead pads into a buffer it
+keeps and lowers that with ``padding=0``.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ class Conv2D(Module):
     The forward pass lowers every receptive field to a column
     (:func:`repro.nn.im2col.im2col`) and computes all outputs with one
     matrix multiply; the backward pass reuses the cached columns for the
-    weight gradient and scatters the input gradient back with
-    :func:`col2im`.  Weight shape is ``(out_channels, in_channels, KH, KW)``.
+    weight gradient and, unless ``input_grad=False``, scatters the input
+    gradient back with :func:`col2im`.  Weight shape is
+    ``(out_channels, in_channels, KH, KW)``.
     """
 
     def __init__(
@@ -74,6 +75,10 @@ class Conv2D(Module):
         self._eval_scratch = Im2colScratch()
         self._train_scratch = (Im2colScratch(), Im2colScratch())
         self._train_flip = 0
+        # Zero-bordered copy of the input, reused across same-shape
+        # forwards: only the interior is ever written, so the border
+        # stays zero and padding costs one copy, not an allocation.
+        self._padded: Optional[np.ndarray] = None
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """Per-sample output shape ``(C_out, OH, OW)`` for a CHW input."""
@@ -102,12 +107,12 @@ class Conv2D(Module):
             # The lowering, not the GEMM, is the historical hot spot —
             # time it separately so `obs-report` can name it.
             t0 = time.perf_counter()
-            cols = im2col(x, self.kernel_size, self.stride, self.padding, out=buf)
+            cols = im2col(self._pad(x), self.kernel_size, self.stride, out=buf)
             telemetry.observe(
                 "nn.conv2d.im2col_seconds", time.perf_counter() - t0
             )
         else:
-            cols = im2col(x, self.kernel_size, self.stride, self.padding, out=buf)
+            cols = im2col(self._pad(x), self.kernel_size, self.stride, out=buf)
         if train:
             self._cache_cols = cols
             self._cache_x_shape = x.shape
@@ -118,7 +123,21 @@ class Conv2D(Module):
             out += self.bias[:, None]
         return out.reshape(self.out_channels, N, oh, ow).transpose(1, 0, 2, 3)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _pad(self, x: np.ndarray) -> np.ndarray:
+        """``x`` zero-padded by ``self.padding``, in the reused buffer."""
+        p = self.padding
+        if p == 0:
+            return x
+        N, C, H, W = x.shape
+        shape = (N, C, H + 2 * p, W + 2 * p)
+        if self._padded is None or self._padded.shape != shape:
+            self._padded = np.zeros(shape, dtype=np.float64)
+        self._padded[:, :, p : p + H, p : p + W] = x
+        return self._padded
+
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache_cols is None or self._cache_x_shape is None:
             raise RuntimeError("backward called before forward(train=True)")
         x_shape = self._cache_x_shape
@@ -135,6 +154,8 @@ class Conv2D(Module):
         self.grad_weight[...] = (g2d @ self._cache_cols.T).reshape(self.weight.shape)
         if self.use_bias:
             np.sum(g2d, axis=1, out=self.grad_bias)
+        if not input_grad:
+            return None
         w2d = self.weight.reshape(self.out_channels, self.in_channels * kh * kw)
         grad_cols = w2d.T @ g2d
         if telemetry.nn_profiling:

@@ -2,14 +2,15 @@
 
 Active only when ``forward(..., train=True)``: units are zeroed with
 probability ``rate`` and survivors scaled by ``1/(1-rate)`` so the
-expected activation is unchanged; at evaluation time the layer is the
-identity.  The mask generator is owned by the layer (seeded at
-construction) so runs remain reproducible.
+expected activation is unchanged; at evaluation time, and at
+``rate=0`` in both directions, the layer is the identity.  The mask
+generator is owned by the layer (seeded at construction) so runs
+remain reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -24,12 +25,17 @@ class Dropout(Module):
     def __init__(self, rate: float = 0.5, *, seed: SeedLike = None) -> None:
         self.rate = check_in_range("rate", rate, 0.0, 1.0, inclusive="left")
         self._rng = as_generator(seed)
-        self._mask: Optional[np.ndarray] = None
+        # ``None`` until a train-mode forward; ``1.0`` (keep everything)
+        # at rate 0, where no mask is drawn.
+        self._mask: Optional[Union[float, np.ndarray]] = None
 
     def forward(self, x: np.ndarray, *, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if not train or self.rate == 0.0:
+        if not train:
             self._mask = None
+            return x
+        if self.rate == 0.0:
+            self._mask = 1.0
             return x
         keep = 1.0 - self.rate
         self._mask = (self._rng.random(x.shape) < keep) / keep

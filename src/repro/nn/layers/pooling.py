@@ -18,6 +18,11 @@ class MaxPool2D(Module):
     over the window axes; the backward pass routes each upstream
     gradient to the argmax location of its window (ties go to the first
     maximum in row-major window order, matching ``argmax`` semantics).
+
+    A train-mode forward reduces each window once: the output is the
+    element at the argmax.  That is ``max``'s value bit for bit, except
+    that a window whose maximum is a zero held with both signs yields
+    the sign of its first zero.
     """
 
     def __init__(
@@ -53,10 +58,12 @@ class MaxPool2D(Module):
         windows = sliding_windows(x, self.pool_size, self.stride)
         N, C, oh, ow, ph, pw = windows.shape
         flat = windows.reshape(N, C, oh, ow, ph * pw)
-        if train:
-            self._cache_x_shape = x.shape
-            self._cache_argmax = np.argmax(flat, axis=-1)
-        return flat.max(axis=-1)
+        if not train:
+            return flat.max(axis=-1)
+        argmax = np.argmax(flat, axis=-1)
+        self._cache_x_shape = x.shape
+        self._cache_argmax = argmax
+        return np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache_x_shape is None or self._cache_argmax is None:
@@ -70,15 +77,24 @@ class MaxPool2D(Module):
                 f"grad_output shape {grad_output.shape} != {(N, C, oh, ow)}"
             )
         ph, pw = self.pool_size
+        s = self.stride
         grad_input = np.zeros((N, C, H, W), dtype=np.float64)
-        # Decode window-local argmax to absolute coordinates, then
-        # scatter-add (windows may overlap when stride < pool size).
+        # Decode window-local argmax to absolute coordinates.
         local_r, local_c = np.divmod(argmax, pw)
-        base_r = np.arange(oh)[None, None, :, None] * self.stride
-        base_c = np.arange(ow)[None, None, None, :] * self.stride
-        rows = (base_r + local_r).ravel()
-        cols = (base_c + local_c).ravel()
+        rows = np.arange(oh)[:, None] * s + local_r
+        cols = np.arange(ow) * s + local_c
+        if s >= ph and s >= pw:
+            # Windows cannot overlap, so every slot receives at most one
+            # gradient: a buffered ``+=`` through one flat index computes
+            # ``0.0 + g`` per slot, the exact sum ``np.add.at`` forms
+            # (which also turns a -0.0 gradient into +0.0).
+            planes = np.arange(N * C).reshape(N, C, 1, 1) * H
+            grad_input.reshape(-1)[(planes + rows) * W + cols] += grad_output
+            return grad_input
+        # Overlapping windows: several gradients may share a slot.
         n_idx = np.repeat(np.arange(N), C * oh * ow)
         c_idx = np.tile(np.repeat(np.arange(C), oh * ow), N)
-        np.add.at(grad_input, (n_idx, c_idx, rows, cols), grad_output.ravel())
+        np.add.at(
+            grad_input, (n_idx, c_idx, rows.ravel(), cols.ravel()), grad_output.ravel()
+        )
         return grad_input

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,11 +22,21 @@ class Module:
         """Compute the layer output, caching anything backward needs."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         """Propagate ``dLoss/dOutput`` to ``dLoss/dInput``.
 
         Also fills this layer's gradient buffers.  Must be called after
         a matching :meth:`forward`.
+
+        ``input_grad=False`` says the caller has no use for
+        ``dLoss/dInput``: the layer fills its parameter gradients
+        exactly as it would otherwise, skips forming the input gradient
+        and returns ``None``.  Layers with parameters honour it; a
+        :class:`repro.nn.Sequential` asks it only of its lowest layer
+        with parameters and never calls the layers below that one.
+        Layers without parameters need not accept the keyword.
         """
         raise NotImplementedError
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -23,8 +23,8 @@ class Sequential(Module):
     separate opt-in on top of telemetry itself) each layer's forward and
     backward is timed into the ``nn.layer.forward_seconds`` /
     ``nn.layer.backward_seconds`` histograms keyed by
-    ``<position>:<obs_label>``; the default path pays one attribute
-    check per call.
+    ``<position>:<obs_label>``; the default path reads the flag once
+    per call.
     """
 
     def __init__(self, layers: Iterable[Module]) -> None:
@@ -34,36 +34,52 @@ class Sequential(Module):
         self._obs_keys = [
             f"{i}:{layer.obs_label}" for i, layer in enumerate(self.layers)
         ]
+        # Where ``backward(..., input_grad=False)`` stops: the lowest
+        # layer with parameters (past the end when no layer has any).
+        self._lowest_trainable = next(
+            (i for i, layer in enumerate(self.layers) if layer.parameters()),
+            len(self.layers),
+        )
 
     def forward(self, x: np.ndarray, *, train: bool = True) -> np.ndarray:
+        profiling = telemetry.nn_profiling
         out = x
-        if not telemetry.nn_profiling:
-            for layer in self.layers:
-                out = layer.forward(out, train=train)
-            return out
         for layer, key in zip(self.layers, self._obs_keys):
-            t0 = time.perf_counter()
+            t0 = time.perf_counter() if profiling else 0.0
             out = layer.forward(out, train=train)
-            telemetry.observe(
-                "nn.layer.forward_seconds", time.perf_counter() - t0, key=key
-            )
+            if profiling:
+                telemetry.observe(
+                    "nn.layer.forward_seconds", time.perf_counter() - t0, key=key
+                )
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Run the chain rule from the top layer down.
+
+        With ``input_grad=False`` the walk ends at the lowest layer that
+        has parameters, which is asked for its parameter gradients only;
+        the layers below it are not called and ``None`` is returned.
+        Every parameter gradient is the same, bit for bit, as after a
+        full walk.
+        """
+        profiling = telemetry.nn_profiling
+        stop = 0 if input_grad else self._lowest_trainable
         grad = grad_output
-        if not telemetry.nn_profiling:
-            for layer in reversed(self.layers):
-                grad = layer.backward(grad)
-            return grad
-        for layer, key in zip(
-            reversed(self.layers), reversed(self._obs_keys)
-        ):
-            t0 = time.perf_counter()
-            grad = layer.backward(grad)
-            telemetry.observe(
-                "nn.layer.backward_seconds", time.perf_counter() - t0, key=key
-            )
-        return grad
+        for i in range(len(self.layers) - 1, stop - 1, -1):
+            t0 = time.perf_counter() if profiling else 0.0
+            if i == stop and not input_grad:
+                grad = self.layers[i].backward(grad, input_grad=False)
+            else:
+                grad = self.layers[i].backward(grad)
+            if profiling:
+                telemetry.observe(
+                    "nn.layer.backward_seconds",
+                    time.perf_counter() - t0,
+                    key=self._obs_keys[i],
+                )
+        return grad if input_grad else None
 
     def parameters(self) -> List[np.ndarray]:
         params: List[np.ndarray] = []

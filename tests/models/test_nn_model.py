@@ -7,6 +7,23 @@ from repro.exceptions import DimensionMismatchError
 from repro.models import make_mlp_model, make_paper_cnn_model
 from repro.models.nn_model import NNModel
 from repro.nn import Dense, Sequential, SoftmaxCrossEntropy
+from repro.nn.layers import conv2d
+from repro.utils.parameter_vector import flatten_arrays
+
+
+def _paper_cnn():
+    return make_paper_cnn_model((1, 28, 28), 10, channel_scale=0.0625, seed=0)
+
+
+def _mlp():
+    return make_mlp_model(784, 10, (16, 8), seed=0)
+
+
+def _batch(n, seed=4):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 784))
+    X[X < 0.5] = 0.0  # blank background, as in the digit images
+    return X, rng.integers(0, 10, n)
 
 
 class TestNNModelAdapter:
@@ -69,6 +86,39 @@ class TestNNModelAdapter:
         w = cnn.init_parameters(0)
         with pytest.raises(DimensionMismatchError):
             cnn.loss(w, np.zeros((3, 63)), np.zeros(3, dtype=int))
+
+
+class TestGradientWithoutInputGradient:
+    """``loss_and_gradient`` skips dLoss/dInput but keeps every bit."""
+
+    @pytest.mark.parametrize("make", [_paper_cnn, _mlp], ids=["cnn", "mlp"])
+    @pytest.mark.parametrize("n", [8, 88])
+    def test_matches_full_backward_bit_for_bit(self, make, n):
+        model = make()
+        w = model.init_parameters(1)
+        X, y = _batch(n)
+        loss, grad = model.loss_and_gradient(w, X, y)
+        # The full walk, input gradient included, on the same batch.
+        inputs = X.reshape((n,) + (model.input_shape or (784,)))
+        scores = model.network.forward(inputs, train=True)
+        full_loss, grad_scores = model.loss_head.value_and_grad(scores, y)
+        assert model.network.backward(grad_scores).shape == inputs.shape
+        assert loss == float(full_loss)
+        assert grad.tobytes() == flatten_arrays(model.network.gradients()).tobytes()
+
+    def test_cnn_gradient_scatters_only_the_second_conv(self, monkeypatch):
+        calls = []
+
+        def spy(cols, x_shape, *args, **kwargs):
+            calls.append(x_shape)
+            return real(cols, x_shape, *args, **kwargs)
+
+        real = conv2d.col2im
+        monkeypatch.setattr(conv2d, "col2im", spy)
+        model = _paper_cnn()
+        X, y = _batch(8)
+        model.loss_and_gradient(model.init_parameters(0), X, y)
+        assert calls == [(8, 2, 14, 14)]  # conv2's input; conv1 needs none
 
 
 class TestFactories:

@@ -51,6 +51,33 @@ class TestDropout:
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((2, 2)))
 
+    def test_zero_rate_backward_is_identity(self):
+        layer = Dropout(0.0, seed=0)
+        g = np.random.default_rng(1).standard_normal((3, 4))
+        layer.forward(np.ones((3, 4)), train=True)
+        assert layer.backward(g).tobytes() == g.tobytes()
+        layer.forward(np.ones((3, 4)), train=False)
+        with pytest.raises(RuntimeError):
+            layer.backward(g)
+
+    def test_zero_rate_network_matches_network_without_dropout(self):
+        def model(dropout):
+            middle = [Dropout(0.0, seed=1)] if dropout else []
+            return NNModel(
+                Sequential([Dense(4, 8, seed=0), *middle, Dense(8, 2, seed=2)]),
+                SoftmaxCrossEntropy(),
+            )
+
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((6, 4))
+        y = rng.integers(0, 2, 6)
+        with_dropout, plain = model(True), model(False)
+        w = plain.init_parameters(0)
+        loss_a, grad_a = with_dropout.loss_and_gradient(w, X, y)
+        loss_b, grad_b = plain.loss_and_gradient(w, X, y)
+        assert loss_a == loss_b
+        assert grad_a.tobytes() == grad_b.tobytes()
+
     def test_rate_one_rejected(self):
         with pytest.raises(Exception):
             Dropout(1.0)

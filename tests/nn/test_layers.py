@@ -5,6 +5,36 @@ import pytest
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
+from repro.nn.im2col import im2col, sliding_windows
+
+
+def reference_maxpool(x, pool, stride, grad_output):
+    """Max pooling as first written: ``argmax`` and ``max`` reductions
+    forward, an ``np.add.at`` scatter into zeros backward.
+
+    Returns ``(output, grad_input)``.
+    """
+    windows = sliding_windows(x, (pool, pool), stride)
+    N, C, oh, ow, ph, pw = windows.shape
+    flat = windows.reshape(N, C, oh, ow, ph * pw)
+    argmax = np.argmax(flat, axis=-1)
+    out = flat.max(axis=-1)
+    grad_input = np.zeros(x.shape)
+    local_r, local_c = np.divmod(argmax, pw)
+    rows = (np.arange(oh)[None, None, :, None] * stride + local_r).ravel()
+    cols = (np.arange(ow)[None, None, None, :] * stride + local_c).ravel()
+    n_idx = np.repeat(np.arange(N), C * oh * ow)
+    c_idx = np.tile(np.repeat(np.arange(C), oh * ow), N)
+    np.add.at(grad_input, (n_idx, c_idx, rows, cols), grad_output.ravel())
+    return out, grad_input
+
+
+def reference_conv(layer, x):
+    """Conv2D forward through standalone ``im2col`` (which pads with ``np.pad``)."""
+    cols = im2col(x, layer.kernel_size, layer.stride, layer.padding)
+    out = layer.weight.reshape(layer.out_channels, -1) @ cols + layer.bias[:, None]
+    _, oh, ow = layer.output_shape(x.shape[1:])
+    return out.reshape(layer.out_channels, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
 
 
 class TestDense:
@@ -108,6 +138,35 @@ class TestConv2D:
         out = conv.forward(np.zeros((1, 1, 8, 8)))
         assert out.shape == (1, 1, 4, 4)
 
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_reused_buffers_match_fresh_layers(self, padding):
+        # One layer sees batch sizes 8 -> 22 -> 8 with train and eval
+        # forwards interleaved; each result must equal, bit for bit, a
+        # fresh layer's and the np.pad-based lowering's.
+        rng = np.random.default_rng(3)
+        layer = Conv2D(2, 3, 5, padding=padding, seed=0)
+        layer.bias[...] = rng.standard_normal(3)
+        steps = [(8, True), (22, False), (22, True), (8, False), (8, True), (8, True)]
+        for i, (n, train) in enumerate(steps):
+            fresh = Conv2D(2, 3, 5, padding=padding, seed=0)
+            fresh.bias[...] = layer.bias
+            x = rng.standard_normal((n, 2, 9, 9))
+            out = layer.forward(x, train=train)
+            assert out.tobytes() == fresh.forward(x, train=train).tobytes()
+            assert out.tobytes() == reference_conv(layer, x).tobytes()
+            if not train:
+                continue
+            g = rng.standard_normal(out.shape)
+            want_input = i % 2 == 0
+            gin = layer.backward(g, input_grad=want_input)
+            ref_gin = fresh.backward(g)
+            assert layer.grad_weight.tobytes() == fresh.grad_weight.tobytes()
+            assert layer.grad_bias.tobytes() == fresh.grad_bias.tobytes()
+            if want_input:
+                assert gin.tobytes() == ref_gin.tobytes()
+            else:
+                assert gin is None
+
 
 class TestMaxPool2D:
     def test_forward_values(self):
@@ -146,6 +205,35 @@ class TestMaxPool2D:
 
     def test_no_parameters(self):
         assert MaxPool2D(2).parameters() == []
+
+    @pytest.mark.parametrize(
+        "shape, pool, stride",
+        [
+            ((3, 2, 8, 8), 2, 2),  # the paper CNN's geometry
+            ((2, 2, 7, 7), 2, 2),  # odd input: last row/column uncovered
+            ((2, 2, 9, 9), 2, 3),  # gaps between windows
+            ((2, 2, 7, 7), 2, 1),  # overlapping windows
+            ((2, 1, 7, 7), 3, 2),  # overlapping, odd window
+        ],
+    )
+    @pytest.mark.parametrize("fill", ["ties", "constant", "normal"])
+    def test_matches_reference_bit_for_bit(self, shape, pool, stride, fill):
+        rng = np.random.default_rng(8)
+        if fill == "ties":  # few distinct values: most windows tie
+            x = rng.integers(-2, 3, shape).astype(np.float64)
+        elif fill == "constant":  # every window all-equal
+            x = np.full(shape, 1.5)
+        else:
+            x = rng.standard_normal(shape)
+        layer = MaxPool2D(pool, stride=stride)
+        eval_out = layer.forward(x, train=False)
+        out = layer.forward(x, train=True)
+        g = rng.standard_normal(out.shape)
+        g.ravel()[::3] = -0.0  # np.add.at into zeros makes these +0.0
+        ref_out, ref_gin = reference_maxpool(x, pool, stride, g)
+        assert out.tobytes() == ref_out.tobytes()
+        assert eval_out.tobytes() == ref_out.tobytes()
+        assert layer.backward(g).tobytes() == ref_gin.tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

@@ -60,6 +60,32 @@ class TestSequential:
         gin = seq.backward(np.ones_like(out))
         assert gin.shape == x.shape
 
+    def test_backward_without_input_grad_stops_at_lowest_trainable_layer(self):
+        calls = []
+
+        class SpyReLU(ReLU):
+            def backward(self, grad_output):
+                calls.append(grad_output.shape)
+                return super().backward(grad_output)
+
+        seq = Sequential(
+            [SpyReLU(), Dense(4, 3, seed=0), SpyReLU(), Dense(3, 2, seed=1)]
+        )
+        x = np.random.default_rng(0).standard_normal((5, 4))
+        out = seq.forward(x)
+        g = np.random.default_rng(1).standard_normal(out.shape)
+        assert seq.backward(g, input_grad=False) is None
+        assert calls == [(5, 3)]  # the bottom ReLU is never called
+        partial = [a.copy() for a in seq.gradients()]
+        assert seq.backward(g).shape == x.shape
+        assert calls == [(5, 3), (5, 3), (5, 4)]
+        assert [a.tobytes() for a in partial] == [a.tobytes() for a in seq.gradients()]
+
+    def test_backward_without_input_grad_and_no_parameters(self):
+        seq = Sequential([ReLU(), Tanh()])
+        out = seq.forward(np.ones((2, 3)))
+        assert seq.backward(np.ones_like(out), input_grad=False) is None
+
     def test_len_and_iter(self):
         seq = Sequential([Dense(2, 2, seed=0), ReLU()])
         assert len(seq) == 2
