@@ -2,14 +2,16 @@
 
 These are proper pytest-benchmark timings (many iterations) for the
 operations the federated inner loop is made of: gradient estimators, the
-quadratic prox, weighted aggregation, and the im2col convolution.  Use
-them to catch performance regressions; `--benchmark-compare` works.
+quadratic prox, weighted aggregation, the im2col convolution, and the
+MLR gradient and local solve at the shape of one ``fleet-100k`` client.
+Use them to catch performance regressions; `--benchmark-compare` works.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.estimators import make_estimator
+from repro.core.local import FedProxVRLocalSolver
 from repro.core.proximal import QuadraticProx
 from repro.fl.aggregation import weighted_average
 from repro.models import MultinomialLogisticModel, make_paper_cnn_model
@@ -38,6 +40,31 @@ class TestEstimatorThroughput:
         w_t = w + 0.01
 
         benchmark(lambda: est.estimate(model, X[batch], y[batch], w_t))
+
+
+@pytest.fixture(scope="module")
+def fleet_problem():
+    # one fleet-100k client: 60 features, 10 classes, a 150-row shard
+    rng = np.random.default_rng(8)
+    model = MultinomialLogisticModel(60, 10)
+    X = rng.standard_normal((150, 60))
+    y = rng.integers(0, 10, 150)
+    return model, X, y, model.init_parameters(0)
+
+
+class TestFleetShape:
+    def test_mlr_gradient_fleet(self, benchmark, fleet_problem):
+        model, X, y, w = fleet_problem
+        X_batch, y_batch = X[:32].copy(), y[:32].copy()
+        benchmark(lambda: model.gradient(w, X_batch, y_batch))
+
+    def test_fedproxvr_svrg_solve_fleet(self, benchmark, fleet_problem):
+        # one sequential client solve: tau=10 SVRG steps, B=32, mu=0.1
+        model, X, y, w = fleet_problem
+        solver = FedProxVRLocalSolver(
+            step_size=0.05, num_steps=10, batch_size=32, mu=0.1, estimator="svrg"
+        )
+        benchmark(lambda: solver.solve(model, X, y, w, np.random.default_rng(0)))
 
 
 class TestProxThroughput:

@@ -92,7 +92,10 @@ class SVRGEstimator(GradientEstimator):
         self.num_evaluations += 2
         g_now = model.gradient(w_t, X_batch, y_batch)
         g_anchor = model.gradient(self._w0, X_batch, y_batch)
-        return g_now - g_anchor + self._v0
+        # ``(g_now - g_anchor) + v_0`` into the fresh ``g_now``: the same
+        # two elementwise ops in the same order, without two temporaries.
+        np.subtract(g_now, g_anchor, out=g_now)
+        return np.add(g_now, self._v0, out=g_now)
 
 
 class SARAHEstimator(GradientEstimator):
@@ -121,7 +124,8 @@ class SARAHEstimator(GradientEstimator):
         self.num_evaluations += 2
         g_now = model.gradient(w_t, X_batch, y_batch)
         g_prev = model.gradient(self._w_prev, X_batch, y_batch)
-        v_t = g_now - g_prev + self._v_prev
+        np.subtract(g_now, g_prev, out=g_now)
+        v_t = np.add(g_now, self._v_prev, out=g_now)
         self._w_prev = np.array(w_t, dtype=np.float64, copy=True)
         self._v_prev = v_t
         return v_t.copy()

@@ -128,10 +128,11 @@ class FedProxVRLocalSolver(LocalSolver):
         full_grad = model.gradient(w0, X, y)
         start_norm = float(np.linalg.norm(full_grad))
         v = estimator.start_epoch(w0, full_grad)
-        evals = 1 + estimator.num_evaluations
 
+        # Each ``w - eta * v`` is a fresh array, so the prox may run in
+        # place on it (apply_: same ops as prox(), anchor term cached).
         iterates: List[np.ndarray] = [w0]
-        w = prox(w0 - eta * v, eta)
+        w = prox.apply_(w0 - eta * v, eta)
         iterates.append(w)
 
         steps_taken = 0
@@ -141,12 +142,11 @@ class FedProxVRLocalSolver(LocalSolver):
         for t in range(1, self.num_steps + 1):
             idx = self._sample_batch(rng, n)
             v = estimator.estimate(model, X[idx], y[idx], w)
-            w = prox(w - eta * v, eta)
+            w = prox.apply_(w - eta * v, eta)
             iterates.append(w)
             steps_taken = t
             if target is not None and t % self.check_interval == 0:
                 norm_j = self._surrogate_grad_norm(model, X, y, w, prox)
-                evals += 1
                 if norm_j <= target:
                     stopped_early = True
                     break

@@ -58,6 +58,16 @@ class DeviceData:
         return np.unique(self.y_train)
 
 
+def _valid_labels(labels: np.ndarray, num_classes: int) -> bool:
+    """Whether every label is an integer in ``[0, num_classes)``."""
+    if labels.size == 0:
+        return True
+    # array_equal with the floor also rejects NaN (NaN != NaN).
+    if labels.dtype.kind not in "iuf" or not np.array_equal(labels, np.floor(labels)):
+        return False
+    return bool(labels.min() >= 0 and labels.max() < num_classes)
+
+
 @dataclass
 class FederatedDataset:
     """All device shards plus task-level metadata."""
@@ -77,6 +87,14 @@ class FederatedDataset:
                     f"device {dev.device_id} has {dev.X_train.shape[1]} features, "
                     f"dataset declares {self.num_features}"
                 )
+            # Checked once here so the loss heads can index by label
+            # without re-validating on every gradient call.
+            for split, labels in (("train", dev.y_train), ("test", dev.y_test)):
+                if not _valid_labels(labels, self.num_classes):
+                    raise ConfigurationError(
+                        f"device {dev.device_id} has {split} labels outside the "
+                        f"integers 0..{self.num_classes - 1}"
+                    )
 
     @property
     def num_devices(self) -> int:

@@ -42,7 +42,14 @@ class Model(ABC):
         """Mean loss and its gradient with respect to ``w``."""
 
     def gradient(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mean-loss gradient (defaults to ``loss_and_gradient``)."""
+        """Mean-loss gradient (defaults to ``loss_and_gradient``).
+
+        Subclasses may override it to skip computing the loss, provided
+        the result keeps ``loss_and_gradient``'s bits.  Either way the
+        returned array is fresh and owned by the caller: the estimators
+        in :mod:`repro.core.estimators` combine gradients into it in
+        place.
+        """
         return self.loss_and_gradient(w, X, y)[1]
 
     @abstractmethod

@@ -43,6 +43,7 @@ from repro.backend import get_backend
 from repro.exceptions import DimensionMismatchError
 from repro.models.base import Model
 from repro.models.logistic import MultinomialLogisticModel
+from repro.nn.losses import softmax_nll_
 
 __all__ = ["BatchKernel", "LogisticBatchKernel", "cohort_signature", "make_batch_kernel"]
 
@@ -84,10 +85,13 @@ class BatchKernel(ABC):
 class LogisticBatchKernel(BatchKernel):
     """Stacked softmax-regression gradients (the paper's convex MLR task).
 
-    Mirrors :meth:`MultinomialLogisticModel.loss_and_gradient` operation
-    by operation — scores GEMM, stable log-softmax, label subtraction,
-    mean scaling, feature-transpose GEMM, L2 term, bias column sums —
-    so each row of the result is bit-identical to the per-client call.
+    Mirrors :meth:`MultinomialLogisticModel.gradient` operation by
+    operation — scores GEMM, the softmax–NLL chain, feature-transpose
+    GEMM, L2 term, bias column sums — so each row of the result is
+    bit-identical to the per-client call.  The chain is not copied
+    here: both call :func:`repro.nn.losses.softmax_nll_`, which works
+    over the last axis, so each ``(B, c)`` slice of the stack runs the
+    same elementary ops as the 2-D batch of the sequential model.
     """
 
     def __init__(self, model: MultinomialLogisticModel) -> None:
@@ -101,8 +105,7 @@ class LogisticBatchKernel(BatchKernel):
         # plus the softmax-chain work buffers — one kernel serves one
         # cohort, so the geometry is stable after the first call.
         self._idx_shape: Optional[tuple] = None
-        self._k_idx: Optional[np.ndarray] = None
-        self._b_idx: Optional[np.ndarray] = None
+        self._index: tuple = ()
         self._G: Optional[np.ndarray] = None
         self._red: Optional[np.ndarray] = None
 
@@ -133,27 +136,12 @@ class LogisticBatchKernel(BatchKernel):
 
         if self._idx_shape != (K, B):
             self._idx_shape = (K, B)
-            self._k_idx = np.arange(K)[:, None]
-            self._b_idx = np.arange(B)[None, :]
+            self._index = (np.arange(K)[:, None], np.arange(B)[None, :])
             self._G = np.empty((K, B, self.num_classes), dtype=np.float64)
             self._red = np.empty((K, B, 1), dtype=np.float64)
 
-        # Stable log-softmax + NLL gradient, axis-per-slice identical to
-        # SoftmaxCrossEntropy.value_and_grad on each (B, c) slice; the
-        # chain runs in place over persistent buffers but performs the
-        # same elementary ops on the same values as the allocating form
-        # ``exp(shifted - log(sum(exp(shifted))))``.
-        grad_scores, red = self._G, self._red
-        scores.max(axis=2, keepdims=True, out=red)
-        np.subtract(scores, red, out=scores)  # shifted
-        np.exp(scores, out=grad_scores)
-        grad_scores.sum(axis=2, keepdims=True, out=red)
-        np.log(red, out=red)  # reprolint: disable=RL402
-        np.subtract(scores, red, out=scores)  # log-probs
-        np.exp(scores, out=grad_scores)
         labels = y_batch if y_batch.dtype.kind == "i" else y_batch.astype(int)
-        grad_scores[self._k_idx, self._b_idx, labels] -= 1.0
-        grad_scores /= B
+        grad_scores = softmax_nll_(scores, labels, self._index, self._G, self._red)
 
         if out is None:
             out = np.empty((K, self.num_parameters), dtype=np.float64)

@@ -7,12 +7,12 @@ Loss is softmax cross-entropy, optionally with L2 weight decay.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.models.base import Model
-from repro.nn.losses import SoftmaxCrossEntropy, softmax
+from repro.nn.losses import SoftmaxCrossEntropy, mean_nll, softmax, softmax_nll_
 from repro.utils.parameter_vector import ParameterSpec
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.smoothness import logistic_smoothness
@@ -49,7 +49,7 @@ class MultinomialLogisticModel(Model):
         pieces = self.spec.unflatten(w)
         scores = X @ pieces[0]
         if self.fit_intercept:
-            scores = scores + pieces[1]
+            scores += pieces[1]
         return scores
 
     def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -60,28 +60,41 @@ class MultinomialLogisticModel(Model):
         W = self.spec.piece(w, 0)
         return float(base + 0.5 * self.l2 * np.sum(W * W))
 
-    def loss_and_gradient(
-        self, w: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
+    def _loss_and_gradient(
+        self, w: np.ndarray, X: np.ndarray, y: np.ndarray, with_loss: bool
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """The one gradient body; the mean loss only when ``with_loss``."""
         w, X, y = self._check_batch(w, X, y)
         scores = self._scores(w, X)
-        base, grad_scores = self._loss_head.value_and_grad(scores, y)
-        grad = self.spec.zeros()
+        labels = y.astype(int, copy=False)
+        index = (np.arange(X.shape[0]),)
+        # ``scores`` is fresh, so the chain may turn it into log-probs.
+        grad_scores = softmax_nll_(scores, labels, index, np.empty_like(scores))
+        loss = mean_nll(scores, labels, index) if with_loss else None
+        grad = np.empty(self.num_parameters, dtype=np.float64)
         grad_pieces = self.spec.unflatten(grad)
-        grad_pieces[0][...] = X.T @ grad_scores
+        np.matmul(X.T, grad_scores, out=grad_pieces[0])
         # The decay term is skipped entirely at l2 = 0 (adding 0.0 * W is
         # two full passes over the weights for a no-op); the batched
         # kernel skips under the same condition, preserving executor
         # bit-identity either way.
         if self.l2:
             W = self.spec.piece(w, 0)
-            loss = float(base + 0.5 * self.l2 * np.sum(W * W))
+            if with_loss:
+                loss = float(loss + 0.5 * self.l2 * np.sum(W * W))
             grad_pieces[0] += self.l2 * W
-        else:
-            loss = float(base)
         if self.fit_intercept:
-            grad_pieces[1][...] = grad_scores.sum(axis=0)
+            grad_scores.sum(axis=0, out=grad_pieces[1])
         return loss, grad
+
+    def loss_and_gradient(
+        self, w: np.ndarray, X: np.ndarray, y: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        return self._loss_and_gradient(w, X, y, with_loss=True)
+
+    def gradient(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mean-loss gradient, without computing the loss it would discard."""
+        return self._loss_and_gradient(w, X, y, with_loss=False)[1]
 
     def predict(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)

@@ -8,7 +8,7 @@ the gradient of the *mean* loss — the ``(1/D_n) sum_i f_i`` of eq. (1).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +27,65 @@ def _check_scores_labels(scores: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray,
     return scores, y
 
 
+def log_softmax_(
+    scores: np.ndarray, work: np.ndarray, red: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Overwrite ``scores`` with its stable log-softmax over the last axis.
+
+    ``work`` is same-shaped scratch (it ends up holding the exps of the
+    shifted scores) and ``red`` an optional ``scores.shape[:-1] + (1,)``
+    buffer for the two row reductions.  This is the one copy of the
+    max-shift / exp / sum / log chain: every caller that needs
+    log-probabilities runs it, so they all share its bits.  Returns
+    ``scores``.
+    """
+    if red is None:
+        red = np.empty(scores.shape[:-1] + (1,), dtype=np.float64)
+    scores.max(axis=-1, keepdims=True, out=red)
+    np.subtract(scores, red, out=scores)  # shifted
+    np.exp(scores, out=work)
+    work.sum(axis=-1, keepdims=True, out=red)
+    # Safe: each shifted row contains a 0, so the sum of exps is >= 1
+    # and the log never sees a value below 1.
+    np.log(red, out=red)  # reprolint: disable=RL402
+    return np.subtract(scores, red, out=scores)
+
+
+def softmax_nll_(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    index: Tuple[np.ndarray, ...],
+    grad: np.ndarray,
+    red: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """In-place softmax + mean negative log-likelihood gradient.
+
+    ``scores`` ``(..., B, c)`` is overwritten with its log-probabilities
+    (:func:`log_softmax_`), and ``grad`` receives
+    ``(softmax(scores) - onehot(labels)) / B`` per ``(B, c)`` slice.
+    ``labels`` ``(..., B)`` are integer class ids and ``index`` the
+    broadcastable index arrays of the leading axes, so that
+    ``grad[index + (labels,)]`` addresses each row's label entry —
+    ``(np.arange(B),)`` for a 2-D batch.  Returns ``grad``.
+    """
+    log_softmax_(scores, grad, red)
+    np.exp(scores, out=grad)
+    grad[index + (labels,)] -= 1.0
+    grad /= scores.shape[-2]
+    return grad
+
+
+def mean_nll(
+    log_probs: np.ndarray, labels: np.ndarray, index: Tuple[np.ndarray, ...]
+) -> float:
+    """Mean negative log-likelihood of ``labels`` under ``log_probs``."""
+    return float(-log_probs[index + (labels,)].mean())
+
+
 def log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable log-softmax along the class axis."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    # Safe: each row of ``shifted`` contains a 0, so the sum of exps
-    # is >= 1 and the log never sees a value below 1.
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))  # reprolint: disable=RL402
+    """Numerically stable log-softmax along the class axis (a new array)."""
+    out = np.array(scores, dtype=np.float64, copy=True)
+    return log_softmax_(out, np.empty_like(out))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -47,21 +100,18 @@ class SoftmaxCrossEntropy:
 
     def value(self, scores: np.ndarray, y: np.ndarray) -> float:
         scores, y = _check_scores_labels(scores, y)
-        ls = log_softmax(scores)
-        return float(-ls[np.arange(scores.shape[0]), y.astype(int)].mean())
+        index = (np.arange(scores.shape[0]),)
+        return mean_nll(log_softmax(scores), y.astype(int, copy=False), index)
 
     def value_and_grad(
         self, scores: np.ndarray, y: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         scores, y = _check_scores_labels(scores, y)
-        n = scores.shape[0]
-        ls = log_softmax(scores)
-        idx = np.arange(n)
-        loss = float(-ls[idx, y.astype(int)].mean())
-        grad = np.exp(ls)
-        grad[idx, y.astype(int)] -= 1.0
-        grad /= n
-        return loss, grad
+        log_probs = scores.copy()  # the chain runs in place; keep the caller's
+        labels = y.astype(int, copy=False)
+        index = (np.arange(scores.shape[0]),)
+        grad = softmax_nll_(log_probs, labels, index, np.empty_like(log_probs))
+        return mean_nll(log_probs, labels, index), grad
 
 
 class MeanSquaredError:

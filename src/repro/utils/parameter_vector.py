@@ -32,22 +32,11 @@ def unflatten_vector(
     The returned arrays are *views* into ``vector`` whenever ``vector``
     is contiguous, so in-place mutation of a piece mutates the vector —
     this is deliberate and is what lets layer backward passes write
-    gradients straight into a preallocated flat buffer.
+    gradients straight into a preallocated flat buffer.  Code that
+    unflattens repeatedly should hold a :class:`ParameterSpec`, which
+    does the size arithmetic once.
     """
-    vector = np.asarray(vector)
-    sizes = [int(np.prod(s, dtype=np.int64)) for s in shapes]
-    total = int(sum(sizes))
-    if vector.ndim != 1 or vector.size != total:
-        raise DimensionMismatchError(
-            f"vector of size {vector.size} cannot be unflattened into "
-            f"shapes {list(shapes)} (need {total})"
-        )
-    pieces: List[np.ndarray] = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        pieces.append(vector[offset : offset + size].reshape(shape))
-        offset += size
-    return pieces
+    return ParameterSpec(list(shapes)).unflatten(vector)
 
 
 @dataclass
@@ -63,12 +52,21 @@ class ParameterSpec:
     shapes: List[Tuple[int, ...]]
     offsets: List[int] = field(init=False)
     size: int = field(init=False)
+    _layout: List[Tuple[int, int, Tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.shapes = [tuple(int(d) for d in s) for s in self.shapes]
         sizes = [int(np.prod(s, dtype=np.int64)) for s in self.shapes]
         self.offsets = list(np.concatenate([[0], np.cumsum(sizes)])[:-1].astype(int))
         self.size = int(sum(sizes))
+        # (start, stop, shape) per piece, so unflatten/piece slice a
+        # vector without redoing any size arithmetic per call.
+        self._layout = [
+            (int(start), int(start) + size, shape)
+            for start, size, shape in zip(self.offsets, sizes, self.shapes)
+        ]
 
     def flatten(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Pack structured arrays into a new flat vector."""
@@ -85,7 +83,13 @@ class ParameterSpec:
 
     def unflatten(self, vector: np.ndarray) -> List[np.ndarray]:
         """Unpack a flat vector into views shaped per the spec."""
-        return unflatten_vector(vector, self.shapes)
+        vector = np.asarray(vector)
+        if vector.ndim != 1 or vector.size != self.size:
+            raise DimensionMismatchError(
+                f"vector of size {vector.size} cannot be unflattened into "
+                f"shapes {self.shapes} (need {self.size})"
+            )
+        return [vector[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     def zeros(self) -> np.ndarray:
         """A fresh zero vector of the right total size."""
@@ -95,6 +99,5 @@ class ParameterSpec:
         """View of the ``index``-th structured piece of ``vector``."""
         if not 0 <= index < len(self.shapes):
             raise IndexError(f"piece index {index} out of range")
-        start = self.offsets[index]
-        size = int(np.prod(self.shapes[index], dtype=np.int64))
-        return np.asarray(vector)[start : start + size].reshape(self.shapes[index])
+        start, stop, shape = self._layout[index]
+        return np.asarray(vector)[start:stop].reshape(shape)

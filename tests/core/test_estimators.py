@@ -10,7 +10,7 @@ from repro.core.estimators import (
     make_estimator,
 )
 from repro.exceptions import ConfigurationError
-from repro.models import LinearRegressionModel
+from repro.models import LinearRegressionModel, MultinomialLogisticModel
 
 
 @pytest.fixture()
@@ -161,6 +161,58 @@ class TestSARAH:
         model, X, y, w0 = problem
         with pytest.raises(ConfigurationError):
             SARAHEstimator().estimate(model, X[:2], y[:2], w0)
+
+
+class TestInPlaceCombination:
+    """SVRG and SARAH combine ``g_now - g_x + v`` in place into the fresh
+    ``g_now``; the bits must equal the two-temporary expression."""
+
+    @pytest.fixture(params=["linear", "mlr"])
+    def any_problem(self, request, problem):
+        if request.param == "linear":
+            return problem
+        rng = np.random.default_rng(1)
+        model = MultinomialLogisticModel(6, 4, l2=1e-3)
+        X = rng.standard_normal((40, 6))
+        y = rng.integers(0, 4, 40)
+        return model, X, y, model.init_parameters(0)
+
+    def test_svrg_bits(self, any_problem):
+        model, X, y, w0 = any_problem
+        v0 = model.gradient(w0, X, y)
+        est = SVRGEstimator()
+        est.start_epoch(w0, v0)
+        w_t = w0
+        for step in range(4):
+            batch = slice(8 * step, 8 * step + 8)
+            w_t = w_t - 0.05 * v0
+            expected = (
+                model.gradient(w_t, X[batch], y[batch])
+                - model.gradient(w0, X[batch], y[batch])
+                + v0
+            )
+            v = est.estimate(model, X[batch], y[batch], w_t)
+            assert v.tobytes() == expected.tobytes()
+
+    def test_sarah_bits_and_no_alias(self, any_problem):
+        model, X, y, w0 = any_problem
+        v_prev = model.gradient(w0, X, y)
+        est = SARAHEstimator()
+        est.start_epoch(w0, v_prev)
+        w_prev = w0
+        for step in range(4):
+            batch = slice(8 * step, 8 * step + 8)
+            w_t = w_prev - 0.05 * v_prev
+            expected = (
+                model.gradient(w_t, X[batch], y[batch])
+                - model.gradient(w_prev, X[batch], y[batch])
+                + v_prev
+            )
+            v = est.estimate(model, X[batch], y[batch], w_t)
+            assert v.tobytes() == expected.tobytes()
+            assert not np.shares_memory(v, est._v_prev)
+            w_prev, v_prev = w_t, expected
+            v[...] = np.nan  # the caller owns the returned array
 
 
 class TestSGD:

@@ -128,6 +128,31 @@ class TestFedProxVRLocalSolver:
         # the stopped iterate satisfies the certificate at its check point
         assert result.achieved_accuracy <= 0.9 + 0.2  # last-iterate drift tolerance
 
+    @pytest.mark.parametrize(
+        "theta,num_steps,stops", [(0.9, 500, True), (1e-9, 12, False)]
+    )
+    def test_gradient_count_under_theta_stopping(
+        self, theta, num_steps, stops, convex_problem
+    ):
+        """Anchor + two per SVRG step + one per criterion check + the
+        final audit: ``1 + 2 t + t // check_interval + 1``."""
+        model, X, y, w0 = convex_problem
+        solver = FedProxVRLocalSolver(
+            step_size=ETA,
+            num_steps=num_steps,
+            batch_size=32,
+            mu=1.0,
+            estimator="svrg",
+            theta=theta,
+            check_interval=5,
+            evaluate_final=True,
+        )
+        result = solver.solve(model, X, y, w0, np.random.default_rng(7))
+        t = result.num_steps
+        assert result.diagnostics["stopped_early"] == float(stops)
+        assert (t < num_steps) == stops
+        assert result.num_gradient_evaluations == 1 + 2 * t + t // 5 + 1
+
     def test_invalid_theta_rejected(self):
         with pytest.raises(ConfigurationError):
             FedProxVRLocalSolver(

@@ -55,3 +55,40 @@ class TestErrors:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ConfigurationError):
             load_federated_dataset(path)
+
+
+class TestLabelValidation:
+    """Archives are outside input: labels must be class ids in
+    ``[0, num_classes)``, checked once when the dataset is built."""
+
+    def _tampered(self, tmp_path, key, make_labels):
+        ds = make_synthetic(1, 1, num_devices=3, num_features=5, num_classes=3,
+                            min_size=10, max_size=20, seed=4)
+        path = save_federated_dataset(ds, tmp_path / "data")
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays[key] = make_labels(arrays[key])
+        np.savez_compressed(path, **arrays)
+        return path
+
+    @pytest.mark.parametrize(
+        "key,bad",
+        [("dev1_ytr", -1), ("dev2_yte", 3), ("dev1_ytr", 1.5)],
+        ids=["negative", "num_classes", "fractional"],
+    )
+    def test_out_of_range_or_fractional_label_rejected(self, tmp_path, key, bad):
+        def corrupt(labels):
+            labels = labels.astype(np.float64 if isinstance(bad, float) else labels.dtype)
+            labels[0] = bad
+            return labels
+
+        path = self._tampered(tmp_path, key, corrupt)
+        device = int(key[3])
+        with pytest.raises(ConfigurationError, match=f"device {device} "):
+            load_federated_dataset(path)
+
+    def test_integer_valued_float_labels_load(self, tmp_path):
+        path = self._tampered(tmp_path, "dev0_yte", lambda y: np.zeros(y.shape[0]))
+        back = load_federated_dataset(path)
+        assert back.devices[0].y_test.dtype == np.float64
+        assert not back.devices[0].y_test.any()

@@ -10,6 +10,7 @@ from repro.nn.losses import (
     SoftmaxCrossEntropy,
     log_softmax,
     softmax,
+    softmax_nll_,
 )
 
 
@@ -61,6 +62,66 @@ class TestSoftmaxCrossEntropy:
     def test_label_batch_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             SoftmaxCrossEntropy().value(np.zeros((3, 2)), np.zeros(4, dtype=int))
+
+
+def _reference_log_softmax(scores):
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_value_and_grad(scores, y):
+    """The allocating log-softmax + NLL formulation, op for op."""
+    n = scores.shape[0]
+    ls = _reference_log_softmax(scores)
+    idx = np.arange(n)
+    loss = float(-ls[idx, y.astype(int)].mean())
+    grad = np.exp(ls)
+    grad[idx, y.astype(int)] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+class TestInPlaceChainBits:
+    """``log_softmax``, ``value`` and ``value_and_grad`` run the shared
+    in-place chain on a copy: same bits as the allocating formulation,
+    and the caller's ``scores`` are never written."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (32, 10), (150, 10), (7, 3)])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("float_labels", [False, True])
+    def test_matches_reference_and_leaves_scores(self, shape, scale, float_labels):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        scores = rng.standard_normal(shape) * scale
+        y = rng.integers(0, shape[1], shape[0])
+        if float_labels:
+            y = y.astype(np.float64)
+        before = scores.tobytes()
+        head = SoftmaxCrossEntropy()
+        ref_loss, ref_grad = _reference_value_and_grad(scores, y)
+
+        loss, grad = head.value_and_grad(scores, y)
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        value = head.value(scores, y)
+        assert np.float64(value).tobytes() == np.float64(ref_loss).tobytes()
+        ls = log_softmax(scores)
+        assert ls.tobytes() == _reference_log_softmax(scores).tobytes()
+        assert scores.tobytes() == before
+
+    def test_stacked_chain_matches_each_slice(self):
+        """Over a (K, B, c) stack the chain runs per (B, c) slice."""
+        rng = np.random.default_rng(9)
+        K, B, c = 3, 5, 4
+        stack = rng.standard_normal((K, B, c))
+        labels = rng.integers(0, c, (K, B))
+        grad = np.empty_like(stack)
+        index = (np.arange(K)[:, None], np.arange(B)[None, :])
+        log_probs = stack.copy()
+        softmax_nll_(log_probs, labels, index, grad, np.empty((K, B, 1)))
+        for k in range(K):
+            _, ref_grad = _reference_value_and_grad(stack[k], labels[k])
+            assert grad[k].tobytes() == ref_grad.tobytes()
+            assert log_probs[k].tobytes() == _reference_log_softmax(stack[k]).tobytes()
 
 
 class TestMeanSquaredError:

@@ -100,3 +100,49 @@ class TestParameterSpec:
         vec = np.array([7.0, 1.0, 2.0])
         assert spec.piece(vec, 0).shape == ()
         assert float(spec.piece(vec, 0)) == 7.0
+
+
+class TestSpecLayoutComputedOnce:
+    SHAPES = [(60, 10), (10,), (), (2, 3, 4)]
+
+    def test_unflatten_and_piece_match_unflatten_vector_views(self):
+        spec = ParameterSpec(self.SHAPES)
+        vec = np.arange(spec.size, dtype=np.float64)
+        expected = unflatten_vector(vec, self.SHAPES)
+        got = spec.unflatten(vec)
+        assert len(got) == len(expected)
+        for i, (a, b) in enumerate(zip(got, expected)):
+            piece = spec.piece(vec, i)
+            for view in (a, piece):
+                assert view.base is not None and np.shares_memory(view, vec)
+                assert view.shape == b.shape
+                assert view.strides == b.strides
+                assert (
+                    view.__array_interface__["data"][0]
+                    == b.__array_interface__["data"][0]
+                )
+
+    def test_wrong_size_or_index_still_raises(self):
+        spec = ParameterSpec([(2, 2), (2,)])
+        with pytest.raises(DimensionMismatchError):
+            spec.unflatten(np.zeros(5))
+        with pytest.raises(DimensionMismatchError):
+            spec.unflatten(np.zeros((2, 3)))
+        with pytest.raises(IndexError):
+            spec.piece(np.zeros(6), 2)
+        with pytest.raises(IndexError):
+            spec.piece(np.zeros(6), -1)
+
+    def test_no_per_call_size_arithmetic(self, monkeypatch):
+        from repro.utils import parameter_vector
+
+        spec = ParameterSpec(self.SHAPES)
+        vec = np.ones(spec.size)
+
+        def no_prod(*args, **kwargs):
+            raise AssertionError("np.prod called after construction")
+
+        monkeypatch.setattr(parameter_vector.np, "prod", no_prod)
+        pieces = spec.unflatten(vec)
+        assert [p.shape for p in pieces] == spec.shapes
+        assert spec.piece(vec, 3).shape == (2, 3, 4)
