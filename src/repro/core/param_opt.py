@@ -14,6 +14,10 @@ and a Nelder–Mead polish refines the optimum.
 ``beta``, ``mu``, ``theta`` / ``Theta``, and the scaled training time as
 functions of ``gamma``, for one or several heterogeneity levels
 ``sigma_bar^2``).
+
+``scipy.optimize`` loads on the first call of
+:func:`optimize_parameters`, not at import: ``import repro`` imports
+this module, and no training run needs the solver.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core import theory
 from repro.core.theory import ProblemConstants
@@ -86,6 +89,8 @@ def optimize_parameters(
     feasible (e.g. heterogeneity so large that ``Theta > 0`` is
     unattainable on the default grid).
     """
+    from scipy import optimize
+
     check_positive("gamma", gamma)
     if beta_grid is None:
         beta_grid = np.geomspace(3.05, 3e4, 140)

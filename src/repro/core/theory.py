@@ -24,6 +24,12 @@ Implements, as checked closed forms or small root-finding problems:
 All functions validate their preconditions and raise
 :class:`InfeasibleParametersError` where the paper's conditions admit no
 solution, so experiment scripts fail loudly on bad configurations.
+
+``scipy.optimize`` loads on the first call of :func:`beta_min` or
+:func:`best_mu_for_theta`, the only two functions that search
+numerically.  Every other function here is a closed form, and the
+training path (``theta_from_beta``, the monitors) only uses those, so
+importing this module does not pull in scipy's solvers.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-from scipy import optimize
 
 from repro.exceptions import InfeasibleParametersError
 from repro.utils.validation import check_in_range, check_positive
@@ -237,6 +241,8 @@ def beta_min(
             f"no feasible beta <= {beta_max} for theta={theta}, mu={mu}: "
             "the Lemma 1 bounds never cross"
         )
+    from scipy import optimize
+
     # gap is negative just above 3 (lower bound diverges), positive at
     # beta_max: bracket the crossing.
     return float(optimize.brentq(gap, lo_beta, beta_max, xtol=1e-10, rtol=1e-12))
@@ -315,6 +321,8 @@ def best_mu_for_theta(
 
     def negative_factor(log_mu: float) -> float:
         return -federated_factor(theta, constants.lam + math.exp(log_mu), constants)
+
+    from scipy import optimize
 
     lo = math.log(max(1e-9, 1e-4 * constants.L))
     hi = math.log(mu_max)

@@ -81,15 +81,30 @@ class FederatedDataset:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ConfigurationError("a federated dataset needs >= 1 device")
+        seen = set()
         for dev in self.devices:
+            # Each client's per-round RNG stream is keyed by its id, so two
+            # devices with one id would draw the same minibatches.
+            if dev.device_id in seen:
+                raise ConfigurationError(f"device id {dev.device_id} appears twice")
+            seen.add(dev.device_id)
             if dev.X_train.shape[1] != self.num_features:
                 raise DimensionMismatchError(
                     f"device {dev.device_id} has {dev.X_train.shape[1]} features, "
                     f"dataset declares {self.num_features}"
                 )
-            # Checked once here so the loss heads can index by label
-            # without re-validating on every gradient call.
-            for split, labels in (("train", dev.y_train), ("test", dev.y_test)):
+            # Checked once here: the loss heads index by label without
+            # re-validating on every gradient call, and a NaN or inf
+            # feature fails here, naming its device, rather than later
+            # as a non-finite step size.
+            for split, X, labels in (
+                ("train", dev.X_train, dev.y_train),
+                ("test", dev.X_test, dev.y_test),
+            ):
+                if not np.isfinite(X).all():
+                    raise ConfigurationError(
+                        f"device {dev.device_id} has non-finite {split} features"
+                    )
                 if not _valid_labels(labels, self.num_classes):
                     raise ConfigurationError(
                         f"device {dev.device_id} has {split} labels outside the "
@@ -104,6 +119,11 @@ class FederatedDataset:
     def device(self, index: int) -> DeviceData:
         """Shard of device ``index`` (same protocol as the lazy dataset)."""
         return self.devices[index]
+
+    @property
+    def device_ids(self) -> np.ndarray:
+        """Per-device ids as a packed int64 vector, in device order."""
+        return np.array([d.device_id for d in self.devices], dtype=np.int64)
 
     @property
     def train_sizes(self) -> np.ndarray:
@@ -197,6 +217,11 @@ class LazyFederatedDataset:
     def num_devices(self) -> int:
         """The paper's ``N`` — a metadata lookup, no shards involved."""
         return int(self.train_sizes.shape[0])
+
+    @property
+    def device_ids(self) -> np.ndarray:
+        """Per-device ids: ``arange(N)``, which :meth:`device` enforces."""
+        return np.arange(self.num_devices, dtype=np.int64)
 
     @property
     def total_train(self) -> int:

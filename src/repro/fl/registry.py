@@ -79,16 +79,12 @@ class ClientRegistry:
     def from_dataset(cls, dataset, *, base_seed: int = 0) -> "ClientRegistry":
         """Registry over a dataset's devices (eager or lazy).
 
-        Reads only the packed ``train_sizes`` metadata — no shard is
-        materialized.  Client ids are the device indices, matching what
-        every generator in :mod:`repro.datasets` assigns.
+        Reads only the packed ``device_ids`` and ``train_sizes``
+        metadata — no shard is materialized.  Client ids are the device
+        ids, as the eager path's clients carry them, so both paths key
+        each client's RNG stream alike.
         """
-        sizes = np.asarray(dataset.train_sizes, dtype=np.int64)
-        return cls(
-            np.arange(sizes.shape[0], dtype=np.int64),
-            sizes,
-            base_seed=base_seed,
-        )
+        return cls(dataset.device_ids, dataset.train_sizes, base_seed=base_seed)
 
     @classmethod
     def from_clients(

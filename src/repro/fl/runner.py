@@ -280,9 +280,12 @@ def run_federated(
     dataset:
         The federated data (one shard per device).
     model_factory:
-        Zero-argument callable building a fresh ``Model``; called once
-        under the sequential/batched executors and once per client when
-        running on the thread or process pool.
+        Zero-argument callable building a fresh ``Model``.  It is called
+        for the smoothness probe's model, which nothing keeps once ``L``
+        is known, then for the server's evaluation model, then for the
+        clients: once for a model all clients share under the
+        sequential/batched executors, or once per client (per hydration
+        on the virtual path) under the thread or process pool.
     config:
         See :class:`FederatedRunConfig`.
     w0:
@@ -335,10 +338,12 @@ def run_federated(
             "subsets of the mapped segments."
         )
 
-    probe_model = model_factory()
+    # The probe gets a model of its own that dies with the call: on a
+    # CNN it fills layer caches and column buffers at the probe's batch
+    # size, which no later pass reads.
     with telemetry.span("estimate_smoothness", dataset=dataset.name):
         L = resolve_smoothness(
-            probe_model,
+            model_factory(),
             dataset,
             override=config.smoothness,
             seed=config.seed,
@@ -357,6 +362,7 @@ def run_federated(
         **config.solver_kwargs,
     )
 
+    eval_model = model_factory()
     # Concurrent executors need per-client model instances (transient
     # layer caches are per-call state); sequential and batched share one.
     share_model = config.executor in ("sequential", "batched")
@@ -378,7 +384,7 @@ def run_federated(
 
     server = FederatedServer(
         pool,
-        eval_model=probe_model,
+        eval_model=eval_model,
         executor=executor,
         delay_model=delay_model,
         client_fraction=config.client_fraction,
@@ -386,7 +392,7 @@ def run_federated(
         eval_client_cap=config.max_eval_clients,
     )
     if w0 is None:
-        w0 = probe_model.init_parameters(init_seed)
+        w0 = eval_model.init_parameters(init_seed)
 
     run_config = {
         "algorithm": config.algorithm,
@@ -410,7 +416,7 @@ def run_federated(
             },
             attrs={
                 "dataset": dataset.name,
-                "model": type(probe_model).__name__,
+                "model": type(eval_model).__name__,
                 "executor": config.executor,
                 "num_devices": dataset.num_devices,
                 "client_fraction": config.client_fraction,

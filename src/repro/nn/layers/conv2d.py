@@ -31,6 +31,11 @@ class Conv2D(Module):
     weight gradient and, unless ``input_grad=False``, scatters the input
     gradient back with :func:`col2im`.  Weight shape is
     ``(out_channels, in_channels, KH, KW)``.
+
+    The layer keeps two column buffers: one for train forwards, whose
+    columns the next backward reads, and one for eval forwards, so an
+    evaluation between a train forward and its backward leaves the
+    cached columns intact.
     """
 
     def __init__(
@@ -67,14 +72,13 @@ class Conv2D(Module):
 
         self._cache_cols: Optional[np.ndarray] = None
         self._cache_x_shape: Optional[Tuple[int, int, int, int]] = None
-        # Column scratch: eval forwards reuse one buffer freely; train
-        # forwards double-buffer because the columns escape into
-        # ``_cache_cols`` and must survive until the matching backward —
-        # a single buffer would let forward t+1 corrupt backward t's
-        # cached columns.
+        # Column scratch.  A train forward's columns escape into
+        # ``_cache_cols``; backward reads only the latest train
+        # forward's, like every other layer cache, so one train buffer
+        # is enough.  The eval buffer is kept apart (see the class
+        # docstring).
         self._eval_scratch = Im2colScratch()
-        self._train_scratch = (Im2colScratch(), Im2colScratch())
-        self._train_flip = 0
+        self._train_scratch = Im2colScratch()
         # Zero-bordered copy of the input, reused across same-shape
         # forwards: only the interior is ever written, so the border
         # stays zero and padding costs one copy, not an allocation.
@@ -97,11 +101,7 @@ class Conv2D(Module):
         N = x.shape[0]
         _, oh, ow = self.output_shape(x.shape[1:])
         kh_, kw_ = self.kernel_size
-        if train:
-            scratch = self._train_scratch[self._train_flip]
-            self._train_flip ^= 1
-        else:
-            scratch = self._eval_scratch
+        scratch = self._train_scratch if train else self._eval_scratch
         buf = scratch.request((self.in_channels * kh_ * kw_, N * oh * ow))
         if telemetry.nn_profiling:
             # The lowering, not the GEMM, is the historical hot spot —

@@ -1,10 +1,16 @@
 """Tests for repro.core.param_opt (§4.3 / Fig. 1)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import theory
 from repro.core.param_opt import (
     OptimalParameters,
@@ -131,3 +137,33 @@ class TestRecommendRunConfig:
     def test_float_tau_optional(self):
         rec = recommend_run_config(0.01, CONST, round_to_int_tau=False)
         assert isinstance(rec["tau"], float)
+
+
+class TestDeferredSolverImport:
+    """``scipy.optimize`` is not loaded until the §4.3 solver runs."""
+
+    SCRIPT = """
+import json, sys
+import repro, repro.fl.runner
+before = {m: m in sys.modules for m in ("scipy.optimize", "scipy.ndimage")}
+from repro import param_opt
+from repro.core.theory import ProblemConstants
+opt = param_opt.optimize_parameters(1e-2, ProblemConstants(L=1.0, lam=0.5))
+print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
+                  "beta": opt.beta}))
+"""
+
+    def test_fresh_interpreter_loads_optimize_on_first_call(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["before"] == {"scipy.optimize": False, "scipy.ndimage": True}
+        assert result["after"] is True
+        assert result["beta"] > 3.0

@@ -90,3 +90,18 @@ class TestFederatedDataset:
         ds = FederatedDataset([make_device(0)], num_features=3, num_classes=2, name="toy")
         s = ds.summary()
         assert "toy" in s and "1 devices" in s and "3" in s
+
+    def test_duplicate_device_ids_rejected(self):
+        devs = [make_device(2), make_device(0), make_device(2, n_train=5)]
+        with pytest.raises(ConfigurationError, match="device id 2 appears twice"):
+            FederatedDataset(devs, num_features=3, num_classes=2)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, split, bad):
+        dev = make_device(3)
+        getattr(dev, f"X_{split}")[1, 2] = bad
+        with pytest.raises(
+            ConfigurationError, match=f"device 3 has non-finite {split} features"
+        ):
+            FederatedDataset([make_device(0), dev], num_features=3, num_classes=2)

@@ -1,5 +1,7 @@
 """Tests for repro.datasets.io (npz round-tripping)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,19 +59,21 @@ class TestErrors:
             load_federated_dataset(path)
 
 
+def _tampered(tmp_path, key, make):
+    """A saved 3-device archive whose array ``key`` is replaced by ``make(old)``."""
+    ds = make_synthetic(1, 1, num_devices=3, num_features=5, num_classes=3,
+                        min_size=10, max_size=20, seed=4)
+    path = save_federated_dataset(ds, tmp_path / "data")
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays[key] = make(arrays[key])
+    np.savez_compressed(path, **arrays)
+    return path
+
+
 class TestLabelValidation:
     """Archives are outside input: labels must be class ids in
     ``[0, num_classes)``, checked once when the dataset is built."""
-
-    def _tampered(self, tmp_path, key, make_labels):
-        ds = make_synthetic(1, 1, num_devices=3, num_features=5, num_classes=3,
-                            min_size=10, max_size=20, seed=4)
-        path = save_federated_dataset(ds, tmp_path / "data")
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays[key] = make_labels(arrays[key])
-        np.savez_compressed(path, **arrays)
-        return path
 
     @pytest.mark.parametrize(
         "key,bad",
@@ -82,13 +86,55 @@ class TestLabelValidation:
             labels[0] = bad
             return labels
 
-        path = self._tampered(tmp_path, key, corrupt)
+        path = _tampered(tmp_path, key, corrupt)
         device = int(key[3])
         with pytest.raises(ConfigurationError, match=f"device {device} "):
             load_federated_dataset(path)
 
     def test_integer_valued_float_labels_load(self, tmp_path):
-        path = self._tampered(tmp_path, "dev0_yte", lambda y: np.zeros(y.shape[0]))
+        path = _tampered(tmp_path, "dev0_yte", lambda y: np.zeros(y.shape[0]))
         back = load_federated_dataset(path)
         assert back.devices[0].y_test.dtype == np.float64
         assert not back.devices[0].y_test.any()
+
+
+class TestFeatureValidation:
+    """Archived features must be finite: a NaN or inf would otherwise
+    surface later as a non-finite step size, far from the bad data."""
+
+    @staticmethod
+    def _set(value):
+        def make(X):
+            X = X.copy()
+            X[0, 1] = value
+            return X
+
+        return make
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key,split", [("dev1_Xtr", "train"), ("dev2_Xte", "test")]
+    )
+    def test_non_finite_features_rejected(self, tmp_path, key, split, bad):
+        path = _tampered(tmp_path, key, self._set(bad))
+        device = int(key[3])
+        with pytest.raises(
+            ConfigurationError, match=f"device {device} has non-finite {split} features"
+        ):
+            load_federated_dataset(path)
+
+    def test_finite_features_load(self, tmp_path):
+        path = _tampered(tmp_path, "dev0_Xtr", self._set(1e300))
+        assert load_federated_dataset(path).devices[0].X_train[0, 1] == 1e300
+
+
+class TestDeviceIdValidation:
+    def test_duplicate_ids_rejected_on_load(self, tmp_path):
+        def duplicate_ids(meta_json):
+            meta = json.loads(str(meta_json))
+            meta["device_ids"] = [0, 1, 0]
+            return np.array(json.dumps(meta))
+
+        path = _tampered(tmp_path, "meta_json", duplicate_ids)
+        with pytest.raises(ConfigurationError, match="device id 0 appears twice"):
+            load_federated_dataset(path)

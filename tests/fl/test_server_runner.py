@@ -1,16 +1,20 @@
 """Tests for repro.fl.server and repro.fl.runner."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.local import FedAvgLocalSolver
+from repro.datasets import make_digits
 from repro.exceptions import ConfigurationError
 from repro.fl.aggregation import coordinate_median
 from repro.fl.client import Client
 from repro.fl.delays import make_uniform_delays
 from repro.fl.runner import FederatedRunConfig, resolve_smoothness, run_federated
 from repro.fl.server import FederatedServer
-from repro.models import MultinomialLogisticModel, make_mlp_model
+from repro.models import MultinomialLogisticModel, make_mlp_model, make_paper_cnn_model
 
 
 def build_server(dataset, **kwargs):
@@ -158,3 +162,51 @@ class TestRunFederated:
         )
         history, _ = run_federated(tiny_dataset, tiny_model_factory, cfg)
         assert history.config["solver_iterate_selection"] == "average"
+
+
+class _ManifestProbe:
+    """Ledger stub: runs ``check`` when the manifest is written, just
+    before round 1."""
+
+    def __init__(self, check):
+        self.check = check
+        self.alive_at_manifest = None
+
+    def write_manifest(self, run_config, *, entropy=None, attrs=None):
+        self.alive_at_manifest = self.check()
+
+    def commit_round(self, *args, **kwargs):
+        pass
+
+    def close(self, status):
+        pass
+
+
+class TestProbeModelLifetime:
+    def test_probe_model_is_released_before_round_one(self):
+        """The power-iteration probe runs on the first model the factory
+        builds; nothing keeps it, so its probe-sized buffers are gone
+        before training starts."""
+        dataset = make_digits(
+            num_devices=2, num_samples=60, min_size=20, max_size=20, seed=0
+        )
+        built = []
+
+        def factory():
+            model = make_paper_cnn_model(channel_scale=0.0625, seed=0)
+            built.append(weakref.ref(model))
+            return model
+
+        def first_model_alive():
+            gc.collect()
+            return built[0]() is not None
+
+        ledger = _ManifestProbe(first_model_alive)
+        cfg = FederatedRunConfig(
+            num_rounds=1, num_local_steps=1, batch_size=4, executor="thread",
+            max_workers=2, seed=0,
+        )
+        run_federated(dataset, factory, cfg, ledger=ledger)
+        # probe model, eval model, one model per client
+        assert len(built) == 2 + dataset.num_devices
+        assert ledger.alive_at_manifest is False

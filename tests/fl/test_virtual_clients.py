@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.local import FedProxVRLocalSolver
 from repro.datasets import make_synthetic
-from repro.datasets.base import LazyFederatedDataset
+from repro.datasets.base import FederatedDataset, LazyFederatedDataset
 from repro.exceptions import ConfigurationError
 from repro.fl.registry import (
     ClientRegistry,
@@ -158,6 +158,20 @@ class TestRegistry:
                 _solver(),
             )
 
+    def test_ids_are_the_dataset_device_ids(self, eager_dataset, lazy_dataset):
+        subset = FederatedDataset(
+            devices=[eager_dataset.devices[k] for k in (5, 2, 7)],
+            num_features=eager_dataset.num_features,
+            num_classes=eager_dataset.num_classes,
+        )
+        np.testing.assert_array_equal(
+            ClientRegistry.from_dataset(subset).client_ids, [5, 2, 7]
+        )
+        np.testing.assert_array_equal(
+            ClientRegistry.from_dataset(lazy_dataset).client_ids,
+            np.arange(lazy_dataset.num_devices),
+        )
+
     def test_registry_is_metadata_only(self, lazy_dataset):
         # Building the registry must not materialize any shard.
         registry = ClientRegistry.from_dataset(lazy_dataset)
@@ -285,6 +299,35 @@ class TestBitIdentity:
             FederatedRunConfig(virtual_clients=True, **kwargs),
         )
         np.testing.assert_array_equal(w_eager, w_virtual)
+
+    def test_virtual_keeps_device_ids_that_are_not_positions(self):
+        """Clients are keyed by device id on both paths, so a federation
+        whose ids are not ``0..N-1`` trains the same bits either way."""
+        full = make_synthetic(
+            alpha=1.0, beta=1.0, num_devices=6, num_features=10,
+            num_classes=5, min_size=25, max_size=90, seed=11,
+        )
+        subset = FederatedDataset(
+            devices=full.devices[3:6],
+            num_features=full.num_features,
+            num_classes=full.num_classes,
+        )
+        assert [d.device_id for d in subset.devices] == [3, 4, 5]
+        kwargs = dict(
+            algorithm="fedproxvr-svrg",
+            num_rounds=3,
+            num_local_steps=3,
+            batch_size=16,
+            mu=0.1,
+            seed=5,
+        )
+        _, w_eager = run_federated(
+            subset, _factory(subset), FederatedRunConfig(virtual_clients=False, **kwargs)
+        )
+        _, w_virtual = run_federated(
+            subset, _factory(subset), FederatedRunConfig(virtual_clients=True, **kwargs)
+        )
+        assert w_eager.tobytes() == w_virtual.tobytes()
 
 
 class TestSampledCohorts:

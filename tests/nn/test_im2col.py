@@ -202,6 +202,18 @@ class TestIm2colScratch:
         np.testing.assert_array_equal(grad_x, expected_grad_x)
         np.testing.assert_array_equal(layer.grad_weight, expected_grad_w)
 
+    def test_conv2d_keeps_one_train_buffer(self):
+        """Backward reads only the latest train forward's columns, so
+        same-shape train forwards all write one buffer."""
+        from repro.nn.layers.conv2d import Conv2D
+
+        rng = np.random.default_rng(4)
+        layer = Conv2D(1, 2, 3, padding=1, seed=0)
+        layer.forward(rng.standard_normal((2, 1, 5, 5)), train=True)
+        first = layer._cache_cols
+        layer.forward(rng.standard_normal((2, 1, 5, 5)), train=True)
+        assert layer._cache_cols is first
+
     def test_conv2d_eval_forward_bitwise_stable_across_reuse(self):
         from repro.nn.layers.conv2d import Conv2D
 
