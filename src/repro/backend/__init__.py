@@ -1,14 +1,16 @@
 """Pluggable array-backend seam.
 
-Every stacked-ndarray kernel in the cohort execution path (batched
-minibatch gradients, vectorized prox/estimator algebra, im2col GEMMs)
-routes its heavy array operations through an :class:`ArrayBackend`
-rather than calling NumPy directly.  The default backend *is* NumPy —
-the seam exists so that a faster drop-in (a threaded BLAS wrapper, an
-accelerator array library with a NumPy-compatible surface) can be
-swapped in per process or per scope without touching any algorithm
-code, and so that scratch-buffer reuse has one owner instead of being
-re-invented at every call site.
+One kernel goes through it: the two stacked matmuls of
+:class:`repro.models.batched.LogisticBatchKernel` (scores and feature
+transpose) call :meth:`ArrayBackend.batched_matmul`.  Everything else
+calls NumPy directly — the im2col GEMMs of ``repro.nn``, the
+vectorized prox and estimator algebra, and the sequential models.  The
+default backend *is* NumPy; the seam is where a drop-in with a
+NumPy-compatible surface (a threaded BLAS wrapper, an accelerator
+array library) could be swapped in per process or per scope.
+:meth:`ArrayBackend.scratch` and :class:`ScratchPool` have no caller in
+``repro``: a kernel owns its work buffers, so that two kernels never
+share one.
 
 The package sits at layer 0 of the reprolint import DAG (alongside
 ``repro.utils`` and ``repro.obs``): it may not import models, solvers,

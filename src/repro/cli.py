@@ -162,7 +162,10 @@ def _ledger_session(args, path: Optional[str]):
     if path is None:
         yield None, None
         return
-    ledger = RunLedger(path)
+    try:
+        ledger = RunLedger(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot open ledger {path!r}: {exc}") from exc
     telemetry.configure([ledger], nn_profiling=args.profile_nn)
     try:
         yield ledger, default_monitor_suite(fail_fast=args.fail_fast)

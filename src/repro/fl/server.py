@@ -288,14 +288,17 @@ class FederatedServer:
                             f"acc {record.test_accuracy:6.4f}  "
                             f"|grad| {record.grad_norm:9.4f}"
                         )
-            telemetry.round_finished(s)
-            if ledger is not None:
-                ledger.commit_round(
-                    s,
-                    asdict(record),
-                    evaluated=record.train_loss is not None,
-                    sim_time=record.sim_time,
-                )
+                # The commit (an fsync) is part of the round's cost, so
+                # the round span covers it; the span's own event lands
+                # after the commit and is made durable by the next one.
+                telemetry.round_finished(s)
+                if ledger is not None:
+                    ledger.commit_round(
+                        s,
+                        asdict(record),
+                        evaluated=record.train_loss is not None,
+                        sim_time=record.sim_time,
+                    )
             if monitors is not None:
                 monitors.observe_round(record)
             if diverged(record.train_loss):

@@ -102,10 +102,13 @@ class LogisticBatchKernel(BatchKernel):
         self.num_parameters = model.num_parameters
         self._wsize = self.num_features * self.num_classes
         # Per-(K, B) caches — gather indices for the label subtraction
-        # plus the softmax-chain work buffers — one kernel serves one
-        # cohort, so the geometry is stable after the first call.
+        # plus the scores and softmax-chain work buffers — one kernel
+        # serves one cohort, so the geometry is stable after the first
+        # call.  The buffers are the kernel's own: two kernels, on one
+        # thread or two, never write into each other's scores.
         self._idx_shape: Optional[tuple] = None
         self._index: tuple = ()
+        self._scores: Optional[np.ndarray] = None
         self._G: Optional[np.ndarray] = None
         self._red: Optional[np.ndarray] = None
 
@@ -128,17 +131,16 @@ class LogisticBatchKernel(BatchKernel):
         self.num_clients = K
         W3, b2 = self._views(W)
 
-        scores = be.batched_matmul(
-            X_batch, W3, out=be.scratch((K, B, self.num_classes))
-        )  # (K, B, c)
-        if b2 is not None:
-            scores += b2[:, None, :]
-
         if self._idx_shape != (K, B):
             self._idx_shape = (K, B)
             self._index = (np.arange(K)[:, None], np.arange(B)[None, :])
+            self._scores = np.empty((K, B, self.num_classes), dtype=np.float64)
             self._G = np.empty((K, B, self.num_classes), dtype=np.float64)
             self._red = np.empty((K, B, 1), dtype=np.float64)
+
+        scores = be.batched_matmul(X_batch, W3, out=self._scores)  # (K, B, c)
+        if b2 is not None:
+            scores += b2[:, None, :]
 
         labels = y_batch if y_batch.dtype.kind == "i" else y_batch.astype(int)
         grad_scores = softmax_nll_(scores, labels, self._index, self._G, self._red)

@@ -223,3 +223,76 @@ class TestBatchedCohortTracing:
             signature = span["attrs"]["signature"]
             assert "/B=" in signature  # "<arch-sig>/B=<effective-batch>"
             assert span["attrs"]["cohort_size"] >= 1
+
+
+@pytest.fixture(scope="module")
+def fig2_fashion():
+    """An 8-device federation in the Fig. 2 (MLR, Fashion-like) mould."""
+    from repro.datasets import make_fashion
+
+    return make_fashion(
+        num_devices=8,
+        num_samples=320,
+        labels_per_device=2,
+        min_size=37,
+        max_size=270,
+        seed=0,
+    )
+
+
+class TestBatchedPathTaken:
+    """The batched executor really stacks the Fig. 2 cohorts.
+
+    A solver whose ``solve_cohort`` returns ``None``, or a model with no
+    batch kernel, falls back to per-client solves with the same bits, so
+    no equivalence test and no speed ratio at this scale notices.  The
+    executor's counters do: 8 clients over 2 rounds must all be batched.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm, mu, solver_kwargs",
+        [
+            ("fedavg", 0.0, {}),
+            ("fedproxvr-svrg", 0.1, {"evaluate_final": False}),
+            ("fedproxvr-sarah", 0.1, {"evaluate_final": False}),
+        ],
+        ids=["fedavg", "fedproxvr-svrg", "fedproxvr-sarah"],
+    )
+    def test_every_client_is_solved_in_a_cohort(
+        self, fig2_fashion, algorithm, mu, solver_kwargs
+    ):
+        from repro.fl.runner import FederatedRunConfig, run_federated
+        from repro.obs import InMemorySink, telemetry
+
+        sink = InMemorySink()
+        telemetry.configure([sink])
+        try:
+            run_federated(
+                fig2_fashion,
+                lambda: MultinomialLogisticModel(
+                    fig2_fashion.num_features, fig2_fashion.num_classes
+                ),
+                FederatedRunConfig(
+                    algorithm=algorithm,
+                    num_rounds=2,
+                    num_local_steps=20,
+                    beta=7.0,
+                    mu=mu,
+                    batch_size=32,
+                    seed=1,
+                    eval_every=2,
+                    executor="batched",
+                    solver_kwargs=solver_kwargs,
+                ),
+            )
+        finally:
+            telemetry.shutdown()
+
+        def total(name):
+            return sum(
+                e["metrics"].get(name, {}).get("total", 0.0)
+                for e in sink.by_type("round_metrics")
+            )
+
+        assert total("fl.executor.batched_clients") == 16
+        assert total("fl.executor.fallback_clients") == 0

@@ -10,9 +10,16 @@ The contract under test has two halves:
   pool's LRU bounds live client objects.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.local import FedProxVRLocalSolver
 from repro.datasets import make_synthetic
 from repro.datasets.base import FederatedDataset, LazyFederatedDataset
@@ -451,6 +458,96 @@ class TestTelemetry:
         # Round 2 reuses round 1's pooled clients (and the eval sweep
         # re-serves them), so hits must be recorded too.
         assert metrics["fl.cohort.lru_hits"]["total"] > 0
+
+
+class TestScalingBudget:
+    """Cost is O(K), not O(N): 8 of 50,000 clients cost what 8 of 100 do.
+
+    Both cells run ``run_federated`` in one fresh interpreter, so the
+    timings and the tracemalloc peak do not inherit the pytest process's heap.
+    The ``ledger=`` hook stamps the round boundaries: ``write_manifest``
+    is called just before round 1 and ``commit_round`` at the end of
+    each round.  Setup runs from before ``make_synthetic`` to the
+    manifest; the tracemalloc peak covers setup and both rounds.
+    """
+
+    SCRIPT = """
+import json, sys, time, tracemalloc
+from repro.datasets import make_synthetic
+from repro.fl.runner import FederatedRunConfig, run_federated
+from repro.models import MultinomialLogisticModel
+
+class Stamps:
+    def __init__(self):
+        self.manifest = None
+        self.commits = []
+    def write_manifest(self, config, *, entropy=None, attrs=None):
+        self.manifest = time.perf_counter()
+    def commit_round(self, round_index, record, *, evaluated=True, sim_time=None):
+        self.commits.append(time.perf_counter())
+    def close(self, status="completed"):
+        pass
+
+def cell(num_devices, participants=8, rounds=2):
+    stamps = Stamps()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        dataset = make_synthetic(
+            1.0, 1.0, num_devices=num_devices, num_features=60,
+            num_classes=10, min_size=100, max_size=400, seed=0, lazy=True,
+        )
+        config = FederatedRunConfig(
+            algorithm="fedproxvr-svrg", num_rounds=rounds,
+            num_local_steps=10, beta=5.0, mu=0.1, batch_size=32, seed=1,
+            client_fraction=participants / num_devices, eval_every=rounds,
+            max_eval_clients=participants,
+        )
+        run_federated(
+            dataset,
+            lambda: MultinomialLogisticModel(
+                dataset.num_features, dataset.num_classes
+            ),
+            config,
+            ledger=stamps,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        "setup_s": stamps.manifest - t0,
+        "peak_mb": peak / 2**20,
+        "round_s": (stamps.commits[-1] - stamps.manifest) / rounds,
+        "rounds": len(stamps.commits),
+    }
+
+print(json.dumps({n: cell(int(n)) for n in sys.argv[1:]}))
+"""
+
+    #: the large-N cell may cost at most this multiple of the small-N one
+    TOLERANCE = 2.0
+    #: below these, a difference is timer or allocator noise, not scaling
+    FLOORS = {"setup_s": 0.05, "peak_mb": 8.0, "round_s": 0.05}
+    #: absolute ceilings on the large-N cell; O(N) work blows through them
+    BUDGETS = {"setup_s": 60.0, "peak_mb": 256.0, "round_s": 30.0}
+
+    def test_fifty_thousand_clients_cost_what_a_hundred_do(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "100", "50000"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cells = json.loads(proc.stdout.splitlines()[-1])
+        small, large = cells["100"], cells["50000"]
+        assert small["rounds"] == large["rounds"] == 2
+        for key, floor in self.FLOORS.items():
+            ceiling = max(small[key], floor) * self.TOLERANCE
+            assert max(large[key], floor) <= ceiling, (key, small, large)
+        for key, budget in self.BUDGETS.items():
+            assert large[key] <= budget, (key, large)
 
 
 class TestEagerPool:

@@ -179,8 +179,9 @@ class TestIm2colScratch:
         assert a is not b
 
     def test_conv2d_train_cache_survives_interleaved_forwards(self):
-        """The double-buffered train scratch must keep backward(t)'s
-        columns intact even when forward(t+1) already ran."""
+        """The eval scratch is separate from the train scratch: an eval
+        forward between a train forward and its backward must leave the
+        cached train columns intact."""
         from repro.nn.layers.conv2d import Conv2D
 
         rng = np.random.default_rng(3)

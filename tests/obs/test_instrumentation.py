@@ -384,3 +384,17 @@ class TestCliRunLedger:
     def test_monitor_and_profile_flags_need_a_ledger(self, flag, capsys):
         assert main(["run", "--rounds", "1", flag]) == 2
         assert "need --ledger" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["compare", "--algorithms", "fedavg"]]
+    )
+    def test_ledger_in_missing_directory_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "missing" / "r.jsonl"
+        assert main([
+            *command, "--devices", "4", "--rounds", "1", "--tau", "2",
+            "--ledger", str(path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot open ledger" in err
