@@ -2,8 +2,9 @@
 
 These are proper pytest-benchmark timings (many iterations) for the
 operations the federated inner loop is made of: gradient estimators, the
-quadratic prox, weighted aggregation, the im2col convolution, and the
-MLR gradient and local solve at the shape of one ``fleet-100k`` client.
+quadratic prox, weighted aggregation, the im2col convolution, the
+MLR gradient and local solve at the shape of one ``fleet-100k`` client,
+and the image-corpus build behind every image dataset.
 Use them to catch performance regressions; `--benchmark-compare` works.
 """
 
@@ -13,6 +14,8 @@ import pytest
 from repro.core.estimators import make_estimator
 from repro.core.local import FedProxVRLocalSolver
 from repro.core.proximal import QuadraticProx
+from repro.datasets.fashion import garment_prototypes
+from repro.datasets.imaging import synthesize_corpus
 from repro.fl.aggregation import weighted_average
 from repro.models import MultinomialLogisticModel, make_paper_cnn_model
 from repro.nn import MaxPool2D
@@ -126,3 +129,15 @@ class TestConvThroughput:
         y = rng.integers(0, 10, 8)
         w = model.init_parameters(0)
         benchmark(lambda: model.loss_and_gradient(w, X, y))
+
+
+class TestCorpusThroughput:
+    def test_fashion_corpus(self, benchmark):
+        # make_fashion's perturbation; 600 images cross two chunk boundaries
+        prototypes = garment_prototypes()
+        benchmark(
+            lambda: synthesize_corpus(
+                prototypes, 600, seed=0, max_rotation=8.0, texture_std=0.25,
+                noise_std=0.06,
+            )
+        )

@@ -7,10 +7,8 @@ calls NumPy directly — the im2col GEMMs of ``repro.nn``, the
 vectorized prox and estimator algebra, and the sequential models.  The
 default backend *is* NumPy; the seam is where a drop-in with a
 NumPy-compatible surface (a threaded BLAS wrapper, an accelerator
-array library) could be swapped in per process or per scope.
-:meth:`ArrayBackend.scratch` and :class:`ScratchPool` have no caller in
-``repro``: a kernel owns its work buffers, so that two kernels never
-share one.
+array library) could be swapped in per process or per scope.  A kernel
+owns its work buffers, so that two kernels never share one.
 
 The package sits at layer 0 of the reprolint import DAG (alongside
 ``repro.utils`` and ``repro.obs``): it may not import models, solvers,
@@ -33,14 +31,13 @@ import contextlib
 import threading
 from typing import Iterator, Optional
 
-from repro.backend.numpy_backend import ArrayBackend, NumpyBackend, ScratchPool
+from repro.backend.numpy_backend import ArrayBackend, NumpyBackend
 from repro.backend.shm import ArraySpec, ShmArena
 
 __all__ = [
     "ArrayBackend",
     "ArraySpec",
     "NumpyBackend",
-    "ScratchPool",
     "ShmArena",
     "get_backend",
     "set_backend",

@@ -1,59 +1,19 @@
 """The default (and reference) array backend: plain NumPy + BLAS.
 
-Two responsibilities:
-
-* :class:`ArrayBackend` defines the narrow operation set the cohort
-  kernels need — 2-D and stacked matmul, contiguous gathers, and
-  scratch-buffer leasing.  Implementations must be *value-exact*: a
-  backend that returns different bits than NumPy for the same inputs
-  breaks the bit-identity contract between the batched and sequential
-  execution paths and will fail the equivalence suite.
-* :class:`ScratchPool` caches preallocated buffers keyed by
-  ``(shape, dtype)`` so per-step temporaries (minibatch gathers, column
-  matrices) are allocated once per shape instead of once per call.
+:class:`ArrayBackend` defines the narrow operation set the cohort
+kernels need — 2-D and stacked matmul and contiguous gathers.
+Implementations must be *value-exact*: a backend that returns different
+bits than NumPy for the same inputs breaks the bit-identity contract
+between the batched and sequential execution paths and will fail the
+equivalence suite.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
-
-
-class ScratchPool:
-    """Reusable ndarray buffers keyed by shape and dtype.
-
-    ``take`` returns a buffer with *undefined contents*; callers must
-    fully overwrite it.  Each key holds exactly one buffer: taking the
-    same key twice returns the same memory, so a pool must not be used
-    for two live buffers of the same shape at once (lease a second pool
-    instead).  Not thread-safe by design — every thread/executor owns
-    its own pool.
-    """
-
-    def __init__(self, max_entries: int = 32) -> None:
-        self._buffers: Dict[Tuple[Tuple[int, ...], str], np.ndarray] = {}
-        self._max_entries = int(max_entries)
-
-    def take(self, shape: Sequence[int], dtype=np.float64) -> np.ndarray:
-        key = (tuple(int(d) for d in shape), np.dtype(dtype).str)
-        buf = self._buffers.get(key)
-        if buf is None:
-            if len(self._buffers) >= self._max_entries:
-                # Simple full-flush eviction: shapes are stable inside a
-                # solve loop, so hitting the cap at all means the
-                # workload changed and the old shapes are dead anyway.
-                self._buffers.clear()
-            buf = np.empty(key[0], dtype=dtype)
-            self._buffers[key] = buf
-        return buf
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-    def __len__(self) -> int:
-        return len(self._buffers)
 
 
 class ArrayBackend(ABC):
@@ -80,10 +40,6 @@ class ArrayBackend(ABC):
     ) -> np.ndarray:
         """Row gather ``src[indices]`` (optionally into ``out``)."""
 
-    @abstractmethod
-    def scratch(self, shape: Sequence[int], dtype=np.float64) -> np.ndarray:
-        """Lease a reusable uninitialized buffer of the given shape."""
-
 
 class NumpyBackend(ArrayBackend):
     """Reference backend: NumPy ufuncs + whatever BLAS NumPy links.
@@ -94,9 +50,6 @@ class NumpyBackend(ArrayBackend):
     """
 
     name = "numpy"
-
-    def __init__(self) -> None:
-        self._pool = ScratchPool()
 
     # shape: a (m, n) float64, b (n, p) float64 -> (m, p) float64
     def matmul(self, a, b, out=None):
@@ -109,6 +62,3 @@ class NumpyBackend(ArrayBackend):
     # shape: src (N, D), indices (B,) -> (B, D)
     def gather_rows(self, src, indices, out=None):
         return np.take(src, indices, axis=0, out=out)
-
-    def scratch(self, shape, dtype=np.float64):
-        return self._pool.take(shape, dtype)

@@ -130,6 +130,15 @@ def _prepare(args) -> Tuple[FederatedDataset, Callable[[], Model]]:
     """Check the flags, then build and announce the dataset + model factory."""
     if (args.fail_fast or args.profile_nn) and not args.ledger:
         raise ConfigurationError("--fail-fast and --profile-nn need --ledger")
+    if args.ledger:
+        # Reject an unwritable ledger directory before building the
+        # dataset; compare's per-algorithm ledgers share this directory.
+        directory = os.path.dirname(args.ledger) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+            raise ConfigurationError(
+                f"cannot open ledger {args.ledger!r}: "
+                f"{directory!r} is not a writable directory"
+            )
     dataset = build_dataset(
         args.dataset, num_devices=args.devices, num_samples=args.samples, seed=args.seed
     )

@@ -6,7 +6,6 @@ import pytest
 from repro.backend import (
     ArrayBackend,
     NumpyBackend,
-    ScratchPool,
     get_backend,
     set_backend,
     use_backend,
@@ -85,32 +84,3 @@ class TestNumpyBackendOps:
         ret = self.be.gather_rows(X, idx, out=out)
         assert ret is out
         np.testing.assert_array_equal(out, X[idx])
-
-
-class TestScratchPool:
-    def test_reuses_same_key(self):
-        pool = ScratchPool()
-        a = pool.take((3, 4), np.float64)
-        b = pool.take((3, 4), np.float64)
-        assert a is b
-
-    def test_distinct_keys_distinct_buffers(self):
-        pool = ScratchPool()
-        a = pool.take((3, 4), np.float64)
-        b = pool.take((4, 3), np.float64)
-        c = pool.take((3, 4), np.intp)
-        assert a is not b and a is not c
-        assert c.dtype == np.intp
-
-    def test_clear_drops_buffers(self):
-        pool = ScratchPool()
-        a = pool.take((2, 2), np.float64)
-        pool.clear()
-        assert len(pool) == 0
-        assert pool.take((2, 2), np.float64) is not a
-
-    def test_eviction_bounds_entries(self):
-        pool = ScratchPool(max_entries=4)
-        for n in range(10):
-            pool.take((n + 1,), np.float64)
-        assert len(pool) <= 4

@@ -21,7 +21,7 @@ import pytest
 
 import repro
 from repro.core.local import FedProxVRLocalSolver
-from repro.datasets import make_synthetic
+from repro.datasets import make_fashion, make_synthetic
 from repro.datasets.base import FederatedDataset, LazyFederatedDataset
 from repro.exceptions import ConfigurationError
 from repro.fl.registry import (
@@ -70,6 +70,13 @@ def lazy_dataset():
     )
 
 
+@pytest.fixture(scope="module")
+def fashion_pair():
+    """A small eager/lazy ``make_fashion`` pair: both slice one image corpus."""
+    kwargs = dict(num_devices=6, num_samples=300, min_size=20, max_size=60, seed=3)
+    return make_fashion(**kwargs), make_fashion(lazy=True, **kwargs)
+
+
 def _factory(dataset):
     return lambda: MultinomialLogisticModel(
         dataset.num_features, dataset.num_classes, l2=1e-4
@@ -83,15 +90,18 @@ def _solver():
 
 
 class TestLazyDatasetIdentity:
-    def test_lazy_devices_match_eager(self, eager_dataset, lazy_dataset):
-        assert isinstance(lazy_dataset, LazyFederatedDataset)
-        for k in range(eager_dataset.num_devices):
-            eager_dev = eager_dataset.devices[k]
-            lazy_dev = lazy_dataset.device(k)
-            np.testing.assert_array_equal(eager_dev.X_train, lazy_dev.X_train)
-            np.testing.assert_array_equal(eager_dev.y_train, lazy_dev.y_train)
-            np.testing.assert_array_equal(eager_dev.X_test, lazy_dev.X_test)
-            np.testing.assert_array_equal(eager_dev.y_test, lazy_dev.y_test)
+    def test_lazy_devices_match_eager(
+        self, eager_dataset, lazy_dataset, fashion_pair
+    ):
+        for eager, lazy in ((eager_dataset, lazy_dataset), fashion_pair):
+            assert isinstance(lazy, LazyFederatedDataset)
+            for k in range(eager.num_devices):
+                eager_dev, lazy_dev = eager.devices[k], lazy.device(k)
+                for field in ("X_train", "y_train", "X_test", "y_test"):
+                    np.testing.assert_array_equal(
+                        getattr(eager_dev, field), getattr(lazy_dev, field),
+                        err_msg=f"{eager.name} device {k} {field}",
+                    )
 
     def test_rehydration_is_deterministic(self, lazy_dataset):
         first = lazy_dataset.device(3)
@@ -112,11 +122,14 @@ class TestLazyDatasetIdentity:
         expected = int(lazy_dataset.train_sizes[:2].sum())
         assert X.shape[0] == expected
 
-    def test_train_sizes_match_devices(self, eager_dataset, lazy_dataset):
-        np.testing.assert_array_equal(
-            lazy_dataset.train_sizes,
-            [d.num_train for d in eager_dataset.devices],
-        )
+    def test_train_sizes_match_devices(
+        self, eager_dataset, lazy_dataset, fashion_pair
+    ):
+        for eager, lazy in ((eager_dataset, lazy_dataset), fashion_pair):
+            np.testing.assert_array_equal(
+                lazy.train_sizes, [d.num_train for d in eager.devices],
+                err_msg=eager.name,
+            )
 
     def test_generator_seed_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -396,5 +396,6 @@ class TestCliRunLedger:
             *command, "--devices", "4", "--rounds", "1", "--tau", "2",
             "--ledger", str(path),
         ]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error:") and "cannot open ledger" in err
+        assert out == ""  # rejected before the dataset is built and announced

@@ -367,16 +367,15 @@ class HotLoopAllocationRule(Rule):
     inner loops, ``im2col``, …).  Allocations that immediately escape —
     into ``list.append``/``extend`` or a ``return``/``yield`` — are the
     collect-results idiom and stay clean; everything else repeated per
-    iteration belongs hoisted, or routed through the backend seam's
-    ``scratch()``/``out=`` forms.
+    iteration belongs hoisted, or written through an ``out=`` buffer.
     """
 
     rule_id = "RL903"
     family = "arrays"
     severity = Severity.WARNING
     description = (
-        "Array allocation inside a hot loop; hoist it or use the "
-        "backend scratch()/out= forms."
+        "Array allocation inside a hot loop; hoist it or write through an "
+        "out= buffer."
     )
 
     def check(self, tree: ast.AST, ctx: FileContext) -> Iterable[Finding]:

@@ -1276,15 +1276,6 @@ class ScopeShapeAnalysis:
                 return frozenset({array_val(dims, src.dtype, line)})
             return _TOP_SET
 
-        if method == "scratch" and call.args:
-            dims = self._dims_from_shape_arg(call.args[0], env)
-            dtype = "float64"
-            if "dtype" in kwargs:
-                dtype, _ = self._dtype_from_node(kwargs["dtype"], env)
-            elif len(call.args) >= 2:
-                dtype, _ = self._dtype_from_node(call.args[1], env)
-            return frozenset({array_val(dims, dtype, line)})
-
         if np_name in ("stack", "vstack", "hstack", "column_stack",
                        "concatenate") and call.args:
             return self._eval_stack(np_name, call, kwargs, env, line)
