@@ -2,11 +2,15 @@
 
 These are proper pytest-benchmark timings (many iterations) for the
 operations the federated inner loop is made of: gradient estimators, the
-quadratic prox, weighted aggregation, the im2col convolution, the
-MLR gradient and local solve at the shape of one ``fleet-100k`` client,
-and the image-corpus build behind every image dataset.
+quadratic prox, weighted aggregation, the im2col convolution, max-pool
+and CNN gradients (at the training batch and at the smoothness probe's
+fixed batch), the MLR gradient and local solve at the shape of one
+``fleet-100k`` client, and the image-corpus build behind every image
+dataset.
 Use them to catch performance regressions; `--benchmark-compare` works.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import pytest
 from repro.core.estimators import make_estimator
 from repro.core.local import FedProxVRLocalSolver
 from repro.core.proximal import QuadraticProx
+from repro.datasets import make_digits
 from repro.datasets.fashion import garment_prototypes
 from repro.datasets.imaging import synthesize_corpus
 from repro.fl.aggregation import weighted_average
@@ -88,6 +93,19 @@ class TestAggregationThroughput:
         benchmark(lambda: weighted_average(vectors, weights, out=out))
 
 
+def two_batches(rng, batch_size):
+    """Two random image batches, served alternately.
+
+    A ``Conv2D`` reuses the columns of an input it has just lowered, so
+    timing one batch over and over would measure only that reuse.
+    """
+    batches = [
+        (rng.standard_normal((batch_size, 784)), rng.integers(0, 10, batch_size))
+        for _ in range(2)
+    ]
+    return itertools.cycle(batches)
+
+
 class TestConvThroughput:
     def test_im2col_batch(self, benchmark):
         rng = np.random.default_rng(3)
@@ -102,11 +120,9 @@ class TestConvThroughput:
 
     def test_cnn_gradient(self, benchmark):
         model = make_paper_cnn_model((1, 28, 28), 10, channel_scale=0.25, seed=0)
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((64, 784))
-        y = rng.integers(0, 10, 64)
+        batches = two_batches(np.random.default_rng(5), 64)
         w = model.init_parameters(0)
-        benchmark(lambda: model.loss_and_gradient(w, X, y))
+        benchmark(lambda: model.loss_and_gradient(w, *next(batches)))
 
     def test_maxpool_forward_backward_fig3(self, benchmark):
         # conv1's output in the fig3-cnn bench workload: B=8, 2 channels
@@ -124,9 +140,26 @@ class TestConvThroughput:
     def test_cnn_gradient_fig3(self, benchmark):
         # the fig3-cnn bench workload's network and minibatch size
         model = make_paper_cnn_model((1, 28, 28), 10, channel_scale=0.0625, seed=0)
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((8, 784))
-        y = rng.integers(0, 10, 8)
+        batches = two_batches(np.random.default_rng(7), 8)
+        w = model.init_parameters(0)
+        benchmark(lambda: model.loss_and_gradient(w, *next(batches)))
+
+    def test_maxpool_forward_probe(self, benchmark):
+        # conv1's output on the smoothness probe's 88-sample batch
+        pool = MaxPool2D(2)
+        x = np.random.default_rng(8).standard_normal((88, 2, 28, 28))
+        benchmark(lambda: pool.forward(x, train=True))
+
+    def test_cnn_gradient_probe_batch(self, benchmark):
+        # The smoothness probe of the fig3-cnn workload at seed 0: every
+        # power-iteration gradient sees the same 88-sample batch, so
+        # conv1 reuses its columns.
+        dataset = make_digits(
+            num_devices=4, num_samples=120, labels_per_device=2, min_size=30,
+            max_size=30, seed=0,
+        )
+        X, y = dataset.global_train()
+        model = make_paper_cnn_model((1, 28, 28), 10, channel_scale=0.0625, seed=0)
         w = model.init_parameters(0)
         benchmark(lambda: model.loss_and_gradient(w, X, y))
 

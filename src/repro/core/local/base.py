@@ -165,7 +165,10 @@ class LocalSolver(ABC):
                 idx = full_idx
             else:
                 idx = rngs[k].choice(X.shape[0], size=size, replace=False)
-            X.take(idx, axis=0, out=X_out[k])
+            # ``idx`` is in range by construction, so "clip" never
+            # clips; it spares the temporary NumPy writes through when
+            # ``out=`` is given in the default "raise" mode.
+            X.take(idx, axis=0, out=X_out[k], mode="clip")
             y_out[k] = y[idx]
 
     def _record_solve_metrics(self, result: LocalSolveResult) -> LocalSolveResult:

@@ -143,14 +143,24 @@ def resolve_smoothness(
         X, y = dataset.global_train()
     analytic = model.smoothness(X)
     if analytic is not None and analytic > 0:
-        return float(analytic)
+        return _finite_smoothness(analytic, "the analytic formula")
     w0 = model.init_parameters(seed)
     probe = estimate_smoothness_power_iteration(
         lambda w: model.gradient(w, X, y), w0, seed=seed
     )
     if probe <= 0:
         raise ConfigurationError("could not estimate a positive smoothness L")
-    return float(probe)
+    return _finite_smoothness(probe, "the power-iteration probe")
+
+
+def _finite_smoothness(L: float, source: str) -> float:
+    """``L`` as a float; a non-finite value cannot size a step."""
+    if not np.isfinite(L):
+        raise ConfigurationError(
+            f"smoothness L from {source} is not finite (L={L}); the step "
+            "size 1/(beta*L) needs a finite positive L"
+        )
+    return float(L)
 
 
 def build_clients(

@@ -36,6 +36,18 @@ class Conv2D(Module):
     columns the next backward reads, and one for eval forwards, so an
     evaluation between a train forward and its backward leaves the
     cached columns intact.
+
+    A padded layer (``padding > 0``) copies each input into the
+    interior of a zero-bordered buffer it keeps.  A train forward whose
+    input has the same shape as that interior and equals it bit for bit
+    (compared as ``int64`` views, so +0.0 and -0.0, or two NaN
+    payloads, differ) reuses the train columns instead of copying and
+    lowering again: the power-iteration probe and the two gradients of
+    a SARAH/SVRG step evaluate one batch repeatedly.  Reuse ends when
+    the columns could be stale: after any eval forward (it rewrites the
+    padded buffer), on a shape change, and when the train buffer is
+    reallocated or invalidated.  An unpadded layer keeps no copy of its
+    input and lowers on every call.
     """
 
     def __init__(
@@ -83,6 +95,9 @@ class Conv2D(Module):
         # forwards: only the interior is ever written, so the border
         # stays zero and padding costs one copy, not an allocation.
         self._padded: Optional[np.ndarray] = None
+        # True while the train columns are the lowering of ``_padded``'s
+        # interior; an eval forward rewrites the interior and clears it.
+        self._cols_hold_padded = False
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """Per-sample output shape ``(C_out, OH, OW)`` for a CHW input."""
@@ -100,28 +115,42 @@ class Conv2D(Module):
             )
         N = x.shape[0]
         _, oh, ow = self.output_shape(x.shape[1:])
-        kh_, kw_ = self.kernel_size
-        scratch = self._train_scratch if train else self._eval_scratch
-        buf = scratch.request((self.in_channels * kh_ * kw_, N * oh * ow))
-        if telemetry.nn_profiling:
-            # The lowering, not the GEMM, is the historical hot spot —
-            # time it separately so `obs-report` can name it.
-            t0 = time.perf_counter()
-            cols = im2col(self._pad(x), self.kernel_size, self.stride, out=buf)
-            telemetry.observe(
-                "nn.conv2d.im2col_seconds", time.perf_counter() - t0
-            )
-        else:
-            cols = im2col(self._pad(x), self.kernel_size, self.stride, out=buf)
-        if train:
-            self._cache_cols = cols
-            self._cache_x_shape = x.shape
         kh, kw = self.kernel_size
+        scratch = self._train_scratch if train else self._eval_scratch
+        buf = scratch.request((self.in_channels * kh * kw, N * oh * ow))
+        # A reallocated or invalidated train buffer is a new object, so
+        # ``buf is self._cache_cols`` fails whenever the columns are gone.
+        if not (train and buf is self._cache_cols and self._holds(x)):
+            if telemetry.nn_profiling:
+                # The lowering, not the GEMM, is the historical hot spot —
+                # time it separately so `obs-report` can name it.
+                t0 = time.perf_counter()
+                im2col(self._pad(x), self.kernel_size, self.stride, out=buf)
+                telemetry.observe(
+                    "nn.conv2d.im2col_seconds", time.perf_counter() - t0
+                )
+            else:
+                im2col(self._pad(x), self.kernel_size, self.stride, out=buf)
+            self._cols_hold_padded = train and self.padding > 0
+        if train:
+            self._cache_cols = buf
+            self._cache_x_shape = x.shape
         w2d = self.weight.reshape(self.out_channels, self.in_channels * kh * kw)
-        out = w2d @ cols  # (C_out, N*OH*OW)
+        out = w2d @ buf  # (C_out, N*OH*OW)
         if self.use_bias:
             out += self.bias[:, None]
         return out.reshape(self.out_channels, N, oh, ow).transpose(1, 0, 2, 3)
+
+    def _holds(self, x: np.ndarray) -> bool:
+        """Whether the train columns are the lowering of ``x``'s bits."""
+        if not self._cols_hold_padded:
+            return False
+        p = self.padding
+        N, C, H, W = x.shape
+        if self._padded.shape != (N, C, H + 2 * p, W + 2 * p):
+            return False
+        interior = self._padded[:, :, p : p + H, p : p + W]
+        return np.array_equal(interior.view(np.int64), x.view(np.int64))
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` zero-padded by ``self.padding``, in the reused buffer."""

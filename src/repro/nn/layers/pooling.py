@@ -14,15 +14,21 @@ from repro.nn.module import Module
 class MaxPool2D(Module):
     """Non-overlapping-or-strided 2-D max pooling over NCHW inputs.
 
-    The forward pass uses the zero-copy sliding-window view, reducing
-    over the window axes; the backward pass routes each upstream
-    gradient to the argmax location of its window (ties go to the first
-    maximum in row-major window order, matching ``argmax`` semantics).
+    The forward pass uses the zero-copy sliding-window view; an eval
+    forward reduces it with ``max``.  The backward pass routes each
+    upstream gradient to the argmax location of its window (ties go to
+    the first maximum in row-major window order, matching ``argmax``
+    semantics).
 
-    A train-mode forward reduces each window once: the output is the
-    element at the argmax.  That is ``max``'s value bit for bit, except
-    that a window whose maximum is a zero held with both signs yields
-    the sign of its first zero.
+    A train-mode forward copies the windows once into ``K = ph * pw``
+    slot planes and runs a first-max tournament over them: slot ``k``
+    takes a window over only if it is strictly greater than the running
+    maximum, so ties keep the earlier slot, as ``argmax`` does.  A
+    window holding a NaN takes its first NaN's slot, also as
+    ``argmax`` does.  The output is the element at that slot.  That is
+    ``max``'s value bit for bit, except that a window whose maximum is a
+    zero held with both signs yields the sign of its first zero.  The
+    slot codes are kept as ``uint8`` (``intp`` when ``K > 255``).
     """
 
     def __init__(
@@ -57,13 +63,35 @@ class MaxPool2D(Module):
             raise DimensionMismatchError(f"MaxPool2D expected NCHW, got {x.shape}")
         windows = sliding_windows(x, self.pool_size, self.stride)
         N, C, oh, ow, ph, pw = windows.shape
-        flat = windows.reshape(N, C, oh, ow, ph * pw)
         if not train:
-            return flat.max(axis=-1)
-        argmax = np.argmax(flat, axis=-1)
+            return windows.reshape(N, C, oh, ow, ph * pw).max(axis=-1)
+        K = ph * pw
+        # One copy: row k holds slot k of every window.
+        slots = windows.transpose(4, 5, 0, 1, 2, 3)
+        planes = np.ascontiguousarray(slots).reshape(K, -1)
+        M = planes.shape[1]
+        peak = planes[0].copy()
+        argmax = np.zeros(M, dtype=np.uint8 if K <= 255 else np.intp)
+        better = np.empty(M, dtype=bool)
+        for k in range(1, K):
+            np.greater(planes[k], peak, out=better)
+            # Codes only grow, so the max with ``k * better`` writes k
+            # exactly where slot k is strictly greater.
+            np.maximum(argmax, better * argmax.dtype.type(k), out=argmax)
+            np.maximum(peak, planes[k], out=peak)
+        # ``>`` never picks a NaN, but ``maximum`` propagates it, so
+        # ``peak`` is NaN exactly in the windows holding one: then every
+        # code comes from ``argmax``, whose first NaN wins.
+        if np.isnan(peak).any():
+            argmax = np.argmax(planes, axis=0).astype(argmax.dtype)
+        # ``peak`` is the maximum's value, but may hold the other sign
+        # of a tied zero: gather the element itself.
+        flat_idx = argmax * np.intp(M)
+        flat_idx += np.arange(M)
+        out = np.take(planes, flat_idx)
         self._cache_x_shape = x.shape
-        self._cache_argmax = argmax
-        return np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+        self._cache_argmax = argmax.reshape(N, C, oh, ow)
+        return out.reshape(N, C, oh, ow)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache_x_shape is None or self._cache_argmax is None:

@@ -251,3 +251,38 @@ class TestGDLocalSolver:
         solver = GDLocalSolver(step_size=1.0 / L, num_steps=500, mu=0.0)
         result = solver.solve(model, X, y, np.zeros(4), rng)
         np.testing.assert_allclose(result.w_local, w_true, atol=1e-3)
+
+
+class TestGatherMinibatches:
+    """The batched gather draws and copies exactly like per-client sampling."""
+
+    @pytest.mark.parametrize(
+        "sizes, float_labels",
+        [
+            ((40, 25, 60), False),  # every shard larger than B: sampled
+            ((8, 8, 8), False),  # every shard one batch: taken whole
+            ((40, 25, 60), True),  # float-valued labels
+        ],
+        ids=["sampled", "full-shard", "float-labels"],
+    )
+    def test_matches_per_client_sampling(self, sizes, float_labels):
+        rng = np.random.default_rng(11)
+        shards = []
+        for n in sizes:
+            X = rng.standard_normal((n, 5))
+            y = rng.standard_normal(n) if float_labels else rng.integers(0, 3, n)
+            shards.append((X, y))
+        solver = FedAvgLocalSolver(step_size=ETA, num_steps=1, batch_size=8)
+        B, f = solver._cohort_geometry(shards)
+        gens = [np.random.default_rng(100 + k) for k in range(len(shards))]
+        twins = [np.random.default_rng(100 + k) for k in range(len(shards))]
+        X_out = np.empty((len(shards), B, f))
+        y_out = np.empty((len(shards), B), dtype=shards[0][1].dtype)
+        for _ in range(3):  # consecutive steps keep every stream aligned
+            solver._gather_minibatches(shards, gens, X_out, y_out)
+            for k, (X, y) in enumerate(shards):
+                idx = solver._sample_batch(twins[k], X.shape[0])
+                assert X_out[k].tobytes() == X[idx].tobytes()
+                assert y_out[k].tobytes() == y[idx].tobytes()
+        for gen, twin in zip(gens, twins):
+            assert gen.bit_generator.state == twin.bit_generator.state

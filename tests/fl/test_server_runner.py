@@ -1,5 +1,6 @@
 """Tests for repro.fl.server and repro.fl.runner."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.core.local import FedAvgLocalSolver
 from repro.datasets import make_digits
+from repro.datasets.base import FederatedDataset
 from repro.exceptions import ConfigurationError
 from repro.fl.aggregation import coordinate_median
 from repro.fl.client import Client
@@ -15,6 +17,8 @@ from repro.fl.delays import make_uniform_delays
 from repro.fl.runner import FederatedRunConfig, resolve_smoothness, run_federated
 from repro.fl.server import FederatedServer
 from repro.models import MultinomialLogisticModel, make_mlp_model, make_paper_cnn_model
+from repro.nn.im2col import im2col
+from repro.nn.layers import conv2d as conv2d_module
 
 
 def build_server(dataset, **kwargs):
@@ -96,6 +100,55 @@ class TestResolveSmoothness:
         model = make_mlp_model(tiny_dataset.num_features, tiny_dataset.num_classes, (6,))
         L = resolve_smoothness(model, tiny_dataset, seed=0)
         assert L > 0
+
+    def test_cnn_probe_lowers_its_fixed_batch_once(self, monkeypatch):
+        # Every probe gradient sees the same batch: conv1's input never
+        # changes, so it lowers once; conv2's input moves with the weights.
+        lowered_channels = []
+
+        def spy(x, *args, **kwargs):
+            lowered_channels.append(x.shape[1])
+            return im2col(x, *args, **kwargs)
+
+        monkeypatch.setattr(conv2d_module, "im2col", spy)
+        dataset = make_digits(
+            num_devices=2, num_samples=24, labels_per_device=2, min_size=8,
+            max_size=12, seed=0,
+        )
+        model = make_paper_cnn_model((1, 28, 28), 10, channel_scale=0.0625, seed=0)
+        calls = []
+        gradient = model.gradient
+
+        def counted(w, X, y):
+            calls.append(1)
+            return gradient(w, X, y)
+
+        model.gradient = counted
+        L = resolve_smoothness(model, dataset, seed=0)
+        assert np.isfinite(L) and L > 0
+        assert len(calls) >= 4
+        assert lowered_channels.count(1) == 1  # conv1: one input channel
+        assert lowered_channels.count(2) == len(calls)  # conv2: two
+
+    def test_infinite_analytic_L_rejected(self, tiny_dataset, tiny_model_factory):
+        # Finite features the dataset accepts, whose squares overflow.
+        huge = FederatedDataset(
+            [
+                dataclasses.replace(d, X_train=d.X_train * 1e160, X_test=d.X_test * 1e160)
+                for d in tiny_dataset.devices
+            ],
+            tiny_dataset.num_features,
+            tiny_dataset.num_classes,
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match=r"L from the analytic .*L=inf"):
+                resolve_smoothness(tiny_model_factory(), huge)
+
+    def test_nan_probe_L_rejected(self, tiny_dataset):
+        model = make_mlp_model(tiny_dataset.num_features, tiny_dataset.num_classes, (6,))
+        model.gradient = lambda w, X, y: np.full(w.shape, np.nan)
+        with pytest.raises(ConfigurationError, match=r"L from the power-iteration .*L=nan"):
+            resolve_smoothness(model, tiny_dataset, seed=0)
 
 
 class TestRunFederated:
