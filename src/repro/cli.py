@@ -26,11 +26,12 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import param_opt, theory
+from repro.core.algorithms import ALGORITHMS
 from repro.core.theory import ProblemConstants
 from repro.datasets import make_digits, make_fashion, make_synthetic
 from repro.datasets.base import FederatedDataset
@@ -126,8 +127,15 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "error-severity monitor alert (exit code 3)")
 
 
-def _prepare(args) -> Tuple[FederatedDataset, Callable[[], Model]]:
-    """Check the flags, then build and announce the dataset + model factory."""
+def _prepare(
+    args, algorithms: Sequence[str]
+) -> Tuple[FederatedDataset, Callable[[], Model], List[FederatedRunConfig]]:
+    """Build each algorithm's run config and check the flags, then build
+    and announce the dataset + model factory.
+
+    A bad setting is rejected before anything is printed or written.
+    """
+    configs = [_make_config(args, algorithm) for algorithm in algorithms]
     if (args.fail_fast or args.profile_nn) and not args.ledger:
         raise ConfigurationError("--fail-fast and --profile-nn need --ledger")
     if args.ledger:
@@ -144,7 +152,7 @@ def _prepare(args) -> Tuple[FederatedDataset, Callable[[], Model]]:
     )
     factory = build_model_factory(args.model, dataset)
     print(dataset.summary())
-    return dataset, factory
+    return dataset, factory, configs
 
 
 def _make_config(args, algorithm: str) -> FederatedRunConfig:
@@ -198,11 +206,11 @@ def _ledger_path_for(path: str, algorithm: str) -> str:
 
 
 def cmd_run(args) -> int:
-    dataset, factory = _prepare(args)
+    dataset, factory, (config,) = _prepare(args, [args.algorithm])
     try:
         with _ledger_session(args, args.ledger) as (ledger, monitors):
             run_federated(
-                dataset, factory, _make_config(args, args.algorithm),
+                dataset, factory, config,
                 verbose=True, ledger=ledger, monitors=monitors,
             )
     except MonitorFailFast as exc:
@@ -212,10 +220,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    dataset, factory = _prepare(args)
+    dataset, factory, configs = _prepare(args, args.algorithms)
     histories = []
-    for algorithm in args.algorithms:
-        config = _make_config(args, algorithm)
+    for config in configs:
+        algorithm = config.algorithm
         if algorithm == "fedavg":
             config.mu = 0.0
         # One ledger (and telemetry session) per algorithm: a manifest
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train one algorithm")
     p_run.add_argument(
         "--algorithm", "-a", default="fedproxvr-sarah",
-        help="fedavg | fedprox | fedproxvr-svrg | fedproxvr-sarah | gd",
+        type=str.lower, choices=sorted(ALGORITHMS),
     )
     _add_run_options(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -390,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="train several algorithms")
     p_cmp.add_argument(
         "--algorithms", "-a", nargs="+",
+        type=str.lower, choices=sorted(ALGORITHMS),
         default=["fedavg", "fedproxvr-svrg", "fedproxvr-sarah"],
     )
     _add_run_options(p_cmp)
@@ -486,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
     try:
         return args.func(args)
     except (ConfigurationError, InfeasibleParametersError) as exc:

@@ -16,7 +16,6 @@ from repro.core.local import (
     FedProxVRLocalSolver,
     GDLocalSolver,
     LocalSolver,
-    PersonalizedProxLocalSolver,
 )
 from repro.exceptions import ConfigurationError
 
@@ -49,16 +48,6 @@ def _fedproxvr(estimator: str):
     return build
 
 
-def _pfedme(step_size, num_steps, batch_size, mu, **kw) -> LocalSolver:
-    return PersonalizedProxLocalSolver(
-        step_size=step_size,
-        num_steps=num_steps,
-        batch_size=batch_size,
-        mu=mu if mu > 0 else 1.0,
-        **kw,
-    )
-
-
 def _gd(step_size, num_steps, batch_size, mu, **kw) -> LocalSolver:
     del kw
     return GDLocalSolver(
@@ -74,7 +63,6 @@ ALGORITHMS: Dict[str, Callable[..., LocalSolver]] = {
     "fedproxvr-sarah": _fedproxvr("sarah"),
     "fedproxvr-sgd": _fedproxvr("sgd"),
     "gd": _gd,
-    "pfedme": _pfedme,
 }
 
 

@@ -5,14 +5,12 @@ from repro.core.local.sgd import FedAvgLocalSolver
 from repro.core.local.proxsgd import FedProxLocalSolver
 from repro.core.local.proxvr import FedProxVRLocalSolver
 from repro.core.local.gd import GDLocalSolver
-from repro.core.local.personalized import PersonalizedProxLocalSolver
 
 __all__ = [
     "FedAvgLocalSolver",
     "FedProxLocalSolver",
     "FedProxVRLocalSolver",
     "GDLocalSolver",
-    "PersonalizedProxLocalSolver",
     "LocalSolveResult",
     "LocalSolver",
 ]

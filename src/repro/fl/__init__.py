@@ -12,11 +12,7 @@ two-phase FSVRG baseline, reference [12]) and :mod:`repro.fl.tuning`
 (the Tables 1-2 random hyperparameter search).
 """
 
-from repro.fl.aggregation import (
-    weighted_average,
-    coordinate_median,
-    trimmed_mean,
-)
+from repro.fl.aggregation import weighted_average
 from repro.fl.client import Client
 from repro.fl.delays import (
     DelayModel,
@@ -67,7 +63,6 @@ __all__ = [
     "VirtualClient",
     "build_client_pool",
     "compare_algorithms",
-    "coordinate_median",
     "format_table",
     "global_accuracy",
     "global_gradient_norm",
@@ -77,6 +72,5 @@ __all__ = [
     "random_search",
     "run_federated",
     "run_fsvrg",
-    "trimmed_mean",
     "weighted_average",
 ]

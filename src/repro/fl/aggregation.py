@@ -1,10 +1,4 @@
-"""Server-side aggregation rules.
-
-The paper's rule is the data-weighted average (Alg. 1 line 12).  The
-robust alternatives (coordinate median, trimmed mean) are included as
-extensions: they plug into the same server and are exercised by the
-failure-injection tests, demonstrating the aggregation seam.
-"""
+"""Server-side aggregation: the data-weighted average of Alg. 1 line 12."""
 
 from __future__ import annotations
 
@@ -13,7 +7,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.utils.validation import check_in_range
 
 
 def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -56,28 +49,3 @@ def weighted_average(
         out[...] = result
         return out
     return result
-
-
-def coordinate_median(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise median — robust to a minority of outlier devices."""
-    return np.median(_stack(vectors), axis=0)
-
-
-def trimmed_mean(vectors: Sequence[np.ndarray], trim_fraction: float = 0.1) -> np.ndarray:
-    """Coordinate-wise mean after trimming the extremes on each side.
-
-    ``trim_fraction`` in ``[0, 0.5)`` is the fraction of devices dropped
-    at *each* end per coordinate.
-    """
-    check_in_range("trim_fraction", trim_fraction, 0.0, 0.5, inclusive="left")
-    stacked = _stack(vectors)
-    n = stacked.shape[0]
-    k = int(np.floor(trim_fraction * n))
-    if 2 * k >= n:
-        raise ConfigurationError(
-            f"trim_fraction {trim_fraction} removes all {n} devices"
-        )
-    if k == 0:
-        return stacked.mean(axis=0)
-    ordered = np.sort(stacked, axis=0)
-    return ordered[k : n - k].mean(axis=0)

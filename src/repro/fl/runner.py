@@ -105,6 +105,7 @@ class FederatedRunConfig:
         check_positive("beta", self.beta)
         check_positive("mu", self.mu, strict=False)
         check_positive_int("batch_size", self.batch_size)
+        check_positive_int("eval_every", self.eval_every)
         if self.lru_capacity is not None:
             check_positive_int("lru_capacity", self.lru_capacity)
         if self.max_eval_clients is not None:

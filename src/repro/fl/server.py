@@ -22,7 +22,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import asdict
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class FederatedServer:
         *,
         executor: Optional[ClientExecutor] = None,
         delay_model: Optional[DelayModel] = None,
-        aggregator: Callable[..., np.ndarray] = weighted_average,
         client_fraction: float = 1.0,
         seed: SeedLike = 0,
         eval_client_cap: Optional[int] = None,
@@ -75,7 +74,6 @@ class FederatedServer:
         if population is not None:
             self.executor.register_clients(population)
         self.delay_model = delay_model
-        self.aggregator = aggregator
         self.client_fraction = check_in_range(
             "client_fraction", client_fraction, 0.0, 1.0, inclusive="right"
         )
@@ -152,7 +150,7 @@ class FederatedServer:
         results = self.executor.run_round(participants, w_global, round_index)
 
         weights = self._weights[selected]
-        w_new = self.aggregator([r.w_local for r in results], weights)
+        w_new = weighted_average([r.w_local for r in results], weights)
 
         delays: List[float] = []
         if self.delay_model is not None:

@@ -39,7 +39,6 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.exceptions import DimensionMismatchError
 from repro.models.base import Model
 from repro.models.logistic import MultinomialLogisticModel
@@ -121,7 +120,6 @@ class LogisticBatchKernel(BatchKernel):
 
     # shape: W (K, D) float64, X_batch (K, B, f) float64, y_batch (K, B) -> (K, D) float64
     def gradient_stack(self, W, X_batch, y_batch, out=None):
-        be = get_backend()
         K, B, f = X_batch.shape
         if W.shape != (K, self.num_parameters) or f != self.num_features:
             raise DimensionMismatchError(
@@ -138,7 +136,9 @@ class LogisticBatchKernel(BatchKernel):
             self._G = np.empty((K, B, self.num_classes), dtype=np.float64)
             self._red = np.empty((K, B, 1), dtype=np.float64)
 
-        scores = be.batched_matmul(X_batch, W3, out=self._scores)  # (K, B, c)
+        # A stacked matmul runs the same BLAS GEMM once per slice, so each
+        # (B, c) slice of scores has the bits of the 2-D sequential GEMM.
+        scores = np.matmul(X_batch, W3, out=self._scores)  # (K, B, c)
         if b2 is not None:
             scores += b2[:, None, :]
 
@@ -150,7 +150,7 @@ class LogisticBatchKernel(BatchKernel):
         out_W, out_b = self._views(out)
         # grad_W = X^T G (+ l2 W when decay is on — skipped at l2 = 0
         # exactly like the sequential model, so both paths agree).
-        be.batched_matmul(np.swapaxes(X_batch, 1, 2), grad_scores, out=out_W)
+        np.matmul(np.swapaxes(X_batch, 1, 2), grad_scores, out=out_W)
         if self.l2:
             out_W += self.l2 * W3
         if out_b is not None:

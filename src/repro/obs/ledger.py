@@ -276,10 +276,17 @@ class RunLedger(Sink):
                 self._pending.append(event)
 
     def close(self, status: str = "completed") -> None:
-        """Write the ``end`` event and close the file (idempotent)."""
+        """Write the ``end`` event and close the file (idempotent).
+
+        A ledger closed before its manifest (a run that failed or was
+        interrupted during setup) first gets an empty-config manifest,
+        so the held events are kept and the file still validates.
+        """
         with self._lock:
             if self._closed:
                 return
+            if not self._manifest_written:
+                self.write_manifest({})
             self._closed = True
             self._cursor += 1
             self._write(

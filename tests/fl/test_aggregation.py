@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.fl.aggregation import coordinate_median, trimmed_mean, weighted_average
+from repro.fl.aggregation import weighted_average
 
 
 class TestWeightedAverage:
@@ -52,31 +52,3 @@ class TestWeightedAverage:
     def test_zero_weight_sum_rejected(self):
         with pytest.raises(ConfigurationError):
             weighted_average([np.zeros(2)], weights=[0.0])
-
-
-class TestRobustAggregators:
-    def test_median_ignores_single_outlier(self):
-        vecs = [np.array([1.0]), np.array([1.1]), np.array([1000.0])]
-        assert coordinate_median(vecs)[0] == pytest.approx(1.1)
-
-    def test_median_coordinatewise(self):
-        vecs = [np.array([0.0, 10.0]), np.array([5.0, 0.0]), np.array([10.0, 5.0])]
-        np.testing.assert_allclose(coordinate_median(vecs), [5.0, 5.0])
-
-    def test_trimmed_mean_drops_extremes(self):
-        vecs = [np.array([v]) for v in [0.0, 1.0, 2.0, 3.0, 100.0]]
-        out = trimmed_mean(vecs, trim_fraction=0.2)
-        assert out[0] == pytest.approx(2.0)
-
-    def test_trimmed_mean_zero_trim_is_mean(self):
-        vecs = [np.array([1.0]), np.array([3.0])]
-        assert trimmed_mean(vecs, 0.0)[0] == pytest.approx(2.0)
-
-    def test_trimmed_mean_overtrim_rejected(self):
-        vecs = [np.array([1.0]), np.array([2.0])]
-        with pytest.raises(ConfigurationError):
-            trimmed_mean(vecs, 0.5)
-
-    def test_trim_fraction_validated(self):
-        with pytest.raises(ConfigurationError):
-            trimmed_mean([np.zeros(1)] * 4, -0.1)

@@ -11,7 +11,6 @@ from repro.core.local import FedAvgLocalSolver
 from repro.datasets import make_digits
 from repro.datasets.base import FederatedDataset
 from repro.exceptions import ConfigurationError
-from repro.fl.aggregation import coordinate_median
 from repro.fl.client import Client
 from repro.fl.delays import make_uniform_delays
 from repro.fl.runner import FederatedRunConfig, resolve_smoothness, run_federated
@@ -71,13 +70,6 @@ class TestFederatedServer:
         server, model = build_server(tiny_dataset, client_fraction=0.5, seed=0)
         outcome = server.run_round(model.init_parameters(0), 1)
         assert len(outcome["selected"]) == max(1, round(0.5 * tiny_dataset.num_devices))
-
-    def test_custom_aggregator(self, tiny_dataset):
-        server, model = build_server(
-            tiny_dataset, aggregator=lambda vs, w: coordinate_median(vs)
-        )
-        history, _ = server.train(model.init_parameters(0), 3)
-        assert np.isfinite(history.final("train_loss"))
 
     def test_no_clients_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -399,3 +399,22 @@ class TestCliRunLedger:
         out, err = capsys.readouterr()
         assert err.startswith("error:") and "cannot open ledger" in err
         assert out == ""  # rejected before the dataset is built and announced
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--beta", "0"],
+            ["run", "--eval-every", "0"],
+            ["run", "--algorithm", "pfedme"],
+            ["compare", "-a", "fedavg", "bogus"],
+        ],
+    )
+    def test_bad_setting_is_rejected_before_dataset_and_ledger(
+        self, command, tmp_path, capsys
+    ):
+        assert main([
+            *command, "--devices", "4", "--rounds", "1", "--tau", "2",
+            "--ledger", str(tmp_path / "r.jsonl"),
+        ]) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []

@@ -13,6 +13,8 @@ import json
 
 import pytest
 
+from repro.cli import main
+from repro.obs import telemetry
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     LedgerError,
@@ -101,6 +103,24 @@ class TestRunLedger:
         reader = LedgerReader(str(path))
         assert reader.validate() == []
         assert reader.status == "failed"
+
+    def test_close_before_manifest_keeps_held_events(self, tmp_path, capsys):
+        """A run that fails during setup still leaves a valid ledger."""
+        path = str(tmp_path / "run.jsonl")
+        ledger = RunLedger(path, fsync=False)
+        telemetry.configure([ledger])
+        with telemetry.span("estimate_smoothness"):
+            pass  # held: emitted before any manifest
+        ledger.close("failed")
+        telemetry.shutdown()
+        reader = LedgerReader(path)
+        assert reader.validate() == []
+        assert validate_file(path) == []
+        assert reader.status == "failed"
+        assert [e["type"] for e in reader.events] == ["manifest", "span", "end"]
+        assert reader.events[1]["name"] == "estimate_smoothness"
+        assert main(["obs-report", path]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_package_digest_is_stable_hex(self):
         a, b = package_digest(), package_digest()

@@ -39,7 +39,7 @@ _ELEMENTWISE_OPS = (
 )
 
 #: Call names (terminal attribute) treated as matmul contractions.
-_MATMUL_CALLS = ("matmul", "batched_matmul", "dot")
+_MATMUL_CALLS = ("matmul", "dot")
 
 #: np.<name> binary ufuncs whose operands must broadcast.
 _BINARY_UFUNC_CALLS = (
@@ -52,7 +52,7 @@ _BINARY_UFUNC_CALLS = (
 #: of crashing.
 _ACCUMULATORS = (
     "sum", "mean", "prod", "std", "var", "norm", "dot", "matmul",
-    "batched_matmul", "average", "einsum", "trace",
+    "average", "einsum", "trace",
 )
 
 #: ``np.<name>`` calls that materialize a fresh array (RL903).  Views

@@ -589,9 +589,9 @@ _FLOAT_UFUNCS = {"exp", "log", "log2", "log10", "log1p", "expm1", "sqrt",
 _REDUCTIONS = ("sum", "mean", "prod", "max", "min", "amax", "amin", "std",
                "var", "median", "argmax", "argmin", "all", "any", "count_nonzero")
 
-#: Attribute names treated as matmul regardless of receiver — the
-#: ``repro.backend`` seam (be.matmul / be.batched_matmul) and numpy.
-_MATMUL_NAMES = ("matmul", "batched_matmul", "dot")
+#: Attribute names treated as matmul regardless of receiver
+#: (np.matmul / np.dot / a.dot(b)).
+_MATMUL_NAMES = ("matmul", "dot")
 
 #: Fresh-array calls RL903 flags inside hot loops.  ``asarray`` is
 #: excluded (no-copy fast path); views (``ravel``, ``reshape``,
@@ -1234,7 +1234,7 @@ class ScopeShapeAnalysis:
                               kwargs.get("keepdims"), line)}
             )
 
-        # matmul family (np.matmul / a.dot(b) / be.batched_matmul(a, b)).
+        # matmul family (np.matmul / np.dot / a.dot(b)).
         if (np_name in _MATMUL_NAMES or method in _MATMUL_NAMES) and call.args:
             if np_name in _MATMUL_NAMES and len(call.args) >= 2:
                 a_node, b_node = call.args[0], call.args[1]
@@ -1254,27 +1254,6 @@ class ScopeShapeAnalysis:
             a = join_arrays(self.eval(a_node, env))
             b = join_arrays(self.eval(b_node, env))
             return self._matmul_result(a, b, kwargs, env, line)
-
-        if method == "gather_rows" and len(call.args) >= 2:
-            src = join_arrays(self.eval(call.args[0], env))
-            idx = join_arrays(self.eval(call.args[1], env))
-            out = kwargs.get("out") or (
-                call.args[2] if len(call.args) >= 3 else None
-            )
-            if out is not None:
-                ov = join_arrays(self.eval(out, env))
-                if ov is not None:
-                    return frozenset({ov})
-            if (
-                src is not None
-                and idx is not None
-                and src.shape is not None
-                and idx.shape is not None
-                and len(src.shape) >= 1
-            ):
-                dims = tuple(idx.shape) + tuple(src.shape[1:])
-                return frozenset({array_val(dims, src.dtype, line)})
-            return _TOP_SET
 
         if np_name in ("stack", "vstack", "hstack", "column_stack",
                        "concatenate") and call.args:
