@@ -1,31 +1,26 @@
 """Tooling benchmark — reprolint whole-program analysis cost.
 
-The v2 engine does strictly more work per run than the v1 per-file
-rules (project index construction, CFG + fixpoint dataflow per file),
-so this benchmark locates where the time goes and guards against the
-linter becoming a tax on tier-1 pytest, which runs the full suite as a
-gate.  Phases timed separately over the real ``src/`` tree:
+The engine does more work per run than per-file rules alone (project
+index construction, CFG + fixpoint dataflow per file), so this
+benchmark locates where the time goes and guards against the linter
+becoming a tax on tier-1 pytest, which runs the full suite as a gate.
+Phases timed separately over the real ``src/`` tree:
 
 * parse       — reading + ``ast.parse`` for every file,
-* index       — :class:`ProjectIndex` (symbols, import graph, calls),
+* index       — :class:`ProjectIndex` (symbols, import graph, exports),
 * dataflow    — CFG build + provenance fixpoint for every module,
-* shapes      — the v4 shape/dtype abstract interpretation fixpoint,
-* v3 lint     — the engine with every pre-v4 family (no ``arrays``),
 * full lint   — the end-to-end engine with every rule family on.
 
 Expected shape: parse and index are linear sweeps and cheap; dataflow
-and shapes dominate among the analysis phases; the full lint stays
-within an order of magnitude of a bare parse (it is all stdlib ``ast``,
-no I/O beyond the source read) and within 2x of the v3 family set —
-the gate that keeps the RL9xx domain from becoming a tax on tier-1
-pytest.
+dominates among the analysis phases; the full lint stays within an
+order of magnitude of a bare parse (it is all stdlib ``ast``, no I/O
+beyond the source read).
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
-from tools.reprolint.config import ALL_FAMILIES, load_config
+from tools.reprolint.config import LintConfig
 from tools.reprolint.dataflow import ModuleDataflow
 from tools.reprolint.engine import (
     _parse_file,
@@ -33,7 +28,6 @@ from tools.reprolint.engine import (
     iter_python_files,
     lint_paths,
 )
-from tools.reprolint.shapes import ModuleShapes
 
 from conftest import run_once
 
@@ -41,9 +35,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_reprolint_phases(benchmark, save_json):
-    # The committed [tool.reprolint] config, so the clean-tree assertion
-    # sees the same layer map / families the CI lint step does.
-    config = load_config(REPO_ROOT / "pyproject.toml")
+    # The default configuration, so the clean-tree assertion sees the
+    # same layer map / families the CI lint step does.
+    config = LintConfig(root=REPO_ROOT)
     paths = sorted(iter_python_files([REPO_ROOT / "src"]))
     assert len(paths) > 20, "src/ tree unexpectedly small"
 
@@ -55,51 +49,28 @@ def test_reprolint_phases(benchmark, save_json):
     parsed, t_parse = phase(
         lambda: [_parse_file(p, config) for p in paths]
     )
-    index, t_index = phase(lambda: build_index(parsed))
+    _, t_index = phase(lambda: build_index(parsed))
     _, t_dataflow = phase(
         lambda: [ModuleDataflow(p.tree) for p in parsed if p.tree is not None]
     )
-    summaries, method_summaries = index.shape_summaries()
-    _, t_shapes = phase(
-        lambda: [
-            ModuleShapes(
-                p.tree,
-                p.lines,
-                module_name=p.module_name,
-                summaries=summaries,
-                method_summaries=method_summaries,
-            )
-            for p in parsed
-            if p.tree is not None
-        ]
-    )
 
-    v3_config = dataclasses.replace(
-        config,
-        enabled_families=[f for f in ALL_FAMILIES if f != "arrays"],
+    # Timed here rather than read from benchmark.stats, which is None
+    # under --benchmark-disable.
+    report, t_full = phase(
+        lambda: run_once(benchmark, lambda: lint_paths([REPO_ROOT / "src"], config))
     )
-    _, t_v3 = phase(lambda: lint_paths([REPO_ROOT / "src"], v3_config))
-
-    report = run_once(benchmark, lambda: lint_paths([REPO_ROOT / "src"], config))
-    t_full = benchmark.stats.stats.total
 
     per_file_ms = 1e3 * t_full / len(paths)
     print(f"\nreprolint over {len(paths)} files in src/:")
     print(f"  parse      {1e3 * t_parse:8.1f} ms")
     print(f"  index      {1e3 * t_index:8.1f} ms")
     print(f"  dataflow   {1e3 * t_dataflow:8.1f} ms")
-    print(f"  shapes     {1e3 * t_shapes:8.1f} ms")
-    print(f"  v3 lint    {1e3 * t_v3:8.1f} ms  (families sans 'arrays')")
     print(f"  full lint  {1e3 * t_full:8.1f} ms  ({per_file_ms:.2f} ms/file)")
 
-    # Shape assertions: the committed tree lints clean, the analysis
-    # overhead stays in interactive territory, and the v4 shapes domain
-    # costs at most as much again as everything that came before it.
+    # Shape assertions: the committed tree lints clean and the analysis
+    # overhead stays in interactive territory.
     assert report.gating == []
     assert per_file_ms < 200.0
-    assert t_full <= 2.0 * t_v3, (
-        f"arrays family costs too much: full {t_full:.2f}s vs v3 {t_v3:.2f}s"
-    )
 
     save_json(
         "bench_reprolint",
@@ -108,8 +79,6 @@ def test_reprolint_phases(benchmark, save_json):
             "parse_s": t_parse,
             "index_s": t_index,
             "dataflow_s": t_dataflow,
-            "shapes_s": t_shapes,
-            "v3_lint_s": t_v3,
             "full_lint_s": t_full,
             "per_file_ms": per_file_ms,
             "findings": len(report.findings),

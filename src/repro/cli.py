@@ -13,8 +13,6 @@ alerts, span tree and self-time hotspots.
 with a regression verdict.
 ``obs-check`` — validate a ledger and assert alert/round expectations
 (the CI building block for monitored demo runs).
-``lint``    — run the reprolint static-analysis suite (requires the repo
-checkout: the ``tools`` package is not shipped with the installed wheel).
 
 The CLI is a thin veneer over the public API, so every option maps 1:1
 onto :class:`repro.fl.runner.FederatedRunConfig` / the theory functions.
@@ -161,7 +159,9 @@ def _make_config(args, algorithm: str) -> FederatedRunConfig:
         num_rounds=args.rounds,
         num_local_steps=args.tau,
         beta=args.beta,
-        mu=args.mu,
+        # FedAvg's solver ignores mu: record the 0 it runs with, so the
+        # manifest and the Theorem-1 monitor see the same value.
+        mu=0.0 if algorithm == "fedavg" else args.mu,
         batch_size=args.batch_size,
         seed=args.seed,
         eval_every=args.eval_every,
@@ -224,8 +224,6 @@ def cmd_compare(args) -> int:
     histories = []
     for config in configs:
         algorithm = config.algorithm
-        if algorithm == "fedavg":
-            config.mu = 0.0
         # One ledger (and telemetry session) per algorithm: a manifest
         # binds one run.
         path = _ledger_path_for(args.ledger, algorithm) if args.ledger else None
@@ -349,37 +347,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run reprolint over the given paths (default: the src tree)."""
-    try:
-        from tools.reprolint.cli import main as reprolint_main
-    except ImportError:
-        print(
-            "error: the 'tools' package is not importable; run 'repro lint' "
-            "from the repository root (or use 'python -m tools.reprolint')",
-            file=sys.stderr,
-        )
-        return 2
-    argv = list(args.paths) + ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.prune_baseline:
-        argv.append("--prune-baseline")
-    if args.fix:
-        argv.append("--fix")
-    if args.dry_run:
-        argv.append("--dry-run")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.changed is not None:
-        argv += ["--changed", args.changed]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return reprolint_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -462,33 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail (exit 1) with fewer committed rounds")
     p_chk.set_defaults(func=cmd_obs_check)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the reprolint static-analysis suite (repo checkout only)"
-    )
-    p_lint.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    p_lint.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text")
-    p_lint.add_argument("--output", default=None,
-                        help="write the report to this file instead of stdout")
-    p_lint.add_argument("--fix", action="store_true",
-                        help="apply safe auto-fixes (unused imports, broken "
-                             "__all__ entries)")
-    p_lint.add_argument("--dry-run", action="store_true",
-                        help="with --fix: print the diff, write nothing")
-    p_lint.add_argument("--prune-baseline", action="store_true",
-                        help="drop stale baseline entries and exit")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="accept current findings into the baseline")
-    p_lint.add_argument("--jobs", type=int, default=1,
-                        help="analyze files on N threads (default 1: serial)")
-    p_lint.add_argument("--changed", nargs="?", const="origin/main",
-                        default=None, metavar="REF",
-                        help="lint only files changed vs REF (default "
-                             "origin/main when the flag is bare)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print every rule and exit")
-    p_lint.set_defaults(func=cmd_lint)
     return parser
 
 

@@ -161,22 +161,34 @@ def tau_upper_bound_svrg(beta: float, a: Optional[float] = None) -> float:
     *self-consistent* bound when ``a`` is omitted.
 
     Self-consistency: the largest integer ``tau`` with
-    ``tau <= (5 beta^2 - 4 beta) / (8 a_min(tau)) - 2`` — found by
-    downward scan since the right side decreases in ``tau``.
+    ``tau <= (5 beta^2 - 4 beta) / (8 a_min(tau)) - 2``.  The right side
+    decreases in ``tau`` — in floating point too, since ``svrg_min_a``
+    uses only ``sqrt``, ``+`` and squaring and the division is correctly
+    rounded — so the feasible set is a down-closed integer interval and
+    a galloping search (double ``tau`` until it fails, then bisect)
+    finds its top in O(log tau) evaluations.
     """
     check_positive("beta", beta)
     base = 5.0 * beta**2 - 4.0 * beta
     if a is not None:
         check_positive("a", a)
         return base / (8.0 * a) - 2.0
-    # Monotone scan: rhs(tau) decreases as tau grows, so the feasible
-    # set {tau : tau <= rhs(tau)} is a down-closed integer interval.
+
+    def feasible(t: int) -> bool:
+        return t <= base / (8.0 * svrg_min_a(t)) - 2.0
+
     tau = 0
-    while True:
-        rhs = base / (8.0 * svrg_min_a(tau + 1)) - 2.0
-        if tau + 1 > rhs:
-            break
-        tau += 1
+    if feasible(1):
+        tau, hi = 1, 2
+        while feasible(hi):
+            tau, hi = hi, 2 * hi
+        # Invariant: feasible(tau) and not feasible(hi).
+        while hi - tau > 1:
+            mid = (tau + hi) // 2
+            if feasible(mid):
+                tau = mid
+            else:
+                hi = mid
     rhs0 = base / (8.0 * svrg_min_a(0)) - 2.0
     if tau == 0 and rhs0 < 0:
         return rhs0  # infeasible even at tau = 0; report the (negative) bound

@@ -321,128 +321,131 @@ def run_federated(
     -------
     ``(history, w_final)``.
     """
-    init_seed, server_seed = (s.entropy for s in spawn_seeds(config.seed, 2))
-
-    virtual = config.virtual_clients
-    if virtual is None:
-        virtual = isinstance(dataset, LazyFederatedDataset)
-    if (
-        virtual
-        and config.executor == "process"
-        and config.client_fraction < 1.0
-    ):
-        raise ConfigurationError(
-            "executor='process' with virtual clients and client_fraction "
-            f"= {config.client_fraction} is unsupported: the process "
-            "executor maps every participating client's shard into a "
-            "ShmArena shared-memory segment once, at pool start-up, and "
-            "workers attach those fixed segments for the whole run — a "
-            "partially sampled virtual cohort would need different "
-            "segments each round. Supported alternatives: (a) keep "
-            "partial participation on an in-process executor "
-            "(executor='thread', 'batched', or 'sequential'); (b) keep "
-            "executor='process' with full participation "
-            "(client_fraction=1.0) so the shared-memory cohort is the "
-            "whole population; or (c) set virtual_clients=False to "
-            "materialize the population eagerly, which registers every "
-            "shard in shared memory up front so sampled cohorts are "
-            "subsets of the mapped segments."
-        )
-
-    # The probe gets a model of its own that dies with the call: on a
-    # CNN it fills layer caches and column buffers at the probe's batch
-    # size, which no later pass reads.
-    with telemetry.span("estimate_smoothness", dataset=dataset.name):
-        L = resolve_smoothness(
-            model_factory(),
-            dataset,
-            override=config.smoothness,
-            seed=config.seed,
-            probe_devices=config.smoothness_probe_devices if virtual else None,
-        )
-    eta = 1.0 / (config.beta * L)
-    telemetry.gauge_set("fl.run.smoothness_L", L)
-    telemetry.gauge_set("fl.run.step_size_eta", eta)
-
-    solver = make_local_solver(
-        config.algorithm,
-        step_size=eta,
-        num_steps=config.num_local_steps,
-        batch_size=config.batch_size,
-        mu=config.mu,
-        **config.solver_kwargs,
-    )
-
-    eval_model = model_factory()
-    # Concurrent executors need per-client model instances (transient
-    # layer caches are per-call state); sequential and batched share one.
-    share_model = config.executor in ("sequential", "batched")
-    pool = build_client_pool(
-        dataset,
-        model_factory,
-        solver,
-        share_model=share_model,
-        seed=config.seed,
-        virtual=virtual,
-        client_fraction=config.client_fraction,
-        lru_capacity=config.lru_capacity,
-    )
-    executor = make_executor(config.executor, config.max_workers)
-
-    delay_model = config.delay_model
-    if delay_model is None:
-        delay_model = make_uniform_delays(dataset.num_devices)
-
-    server = FederatedServer(
-        pool,
-        eval_model=eval_model,
-        executor=executor,
-        delay_model=delay_model,
-        client_fraction=config.client_fraction,
-        seed=server_seed,
-        eval_client_cap=config.max_eval_clients,
-    )
-    if w0 is None:
-        w0 = eval_model.init_parameters(init_seed)
-
-    run_config = {
-        "algorithm": config.algorithm,
-        "T": config.num_rounds,
-        "tau": config.num_local_steps,
-        "beta": config.beta,
-        "mu": config.mu,
-        "batch_size": config.batch_size,
-        "L": L,
-        "eta": eta,
-        "seed": config.seed,
-        **{f"solver_{k}": v for k, v in config.solver_kwargs.items()},
-    }
-    if ledger is not None:
-        ledger.write_manifest(
-            run_config,
-            entropy={
-                "seed": config.seed,
-                "init_seed": init_seed,
-                "server_seed": server_seed,
-            },
-            attrs={
-                "dataset": dataset.name,
-                "model": type(eval_model).__name__,
-                "executor": config.executor,
-                "num_devices": dataset.num_devices,
-                "client_fraction": config.client_fraction,
-            },
-        )
-    if monitors is not None:
-        bind_monitor_theory(monitors, beta=config.beta, mu=config.mu, L=L)
-        if ledger is not None:
-            monitors.attach_ledger(ledger)
-
-    # Simulated time (eq. (19)) is run-scoped: stamp every event this
-    # run emits with the server clock's elapsed value.
-    telemetry.attach_sim_clock(server.clock)
+    # The whole run, setup included, sits under this try: a failure
+    # anywhere still closes the executor (once built) and the ledger.
+    executor = None
     status = "failed"
     try:
+        init_seed, server_seed = (s.entropy for s in spawn_seeds(config.seed, 2))
+
+        virtual = config.virtual_clients
+        if virtual is None:
+            virtual = isinstance(dataset, LazyFederatedDataset)
+        if (
+            virtual
+            and config.executor == "process"
+            and config.client_fraction < 1.0
+        ):
+            raise ConfigurationError(
+                "executor='process' with virtual clients and client_fraction "
+                f"= {config.client_fraction} is unsupported: the process "
+                "executor maps every participating client's shard into a "
+                "ShmArena shared-memory segment once, at pool start-up, and "
+                "workers attach those fixed segments for the whole run — a "
+                "partially sampled virtual cohort would need different "
+                "segments each round. Supported alternatives: (a) keep "
+                "partial participation on an in-process executor "
+                "(executor='thread', 'batched', or 'sequential'); (b) keep "
+                "executor='process' with full participation "
+                "(client_fraction=1.0) so the shared-memory cohort is the "
+                "whole population; or (c) set virtual_clients=False to "
+                "materialize the population eagerly, which registers every "
+                "shard in shared memory up front so sampled cohorts are "
+                "subsets of the mapped segments."
+            )
+
+        # The probe gets a model of its own that dies with the call: on a
+        # CNN it fills layer caches and column buffers at the probe's batch
+        # size, which no later pass reads.
+        with telemetry.span("estimate_smoothness", dataset=dataset.name):
+            L = resolve_smoothness(
+                model_factory(),
+                dataset,
+                override=config.smoothness,
+                seed=config.seed,
+                probe_devices=config.smoothness_probe_devices if virtual else None,
+            )
+        eta = 1.0 / (config.beta * L)
+        telemetry.gauge_set("fl.run.smoothness_L", L)
+        telemetry.gauge_set("fl.run.step_size_eta", eta)
+
+        solver = make_local_solver(
+            config.algorithm,
+            step_size=eta,
+            num_steps=config.num_local_steps,
+            batch_size=config.batch_size,
+            mu=config.mu,
+            **config.solver_kwargs,
+        )
+
+        eval_model = model_factory()
+        # Concurrent executors need per-client model instances (transient
+        # layer caches are per-call state); sequential and batched share one.
+        share_model = config.executor in ("sequential", "batched")
+        pool = build_client_pool(
+            dataset,
+            model_factory,
+            solver,
+            share_model=share_model,
+            seed=config.seed,
+            virtual=virtual,
+            client_fraction=config.client_fraction,
+            lru_capacity=config.lru_capacity,
+        )
+        executor = make_executor(config.executor, config.max_workers)
+
+        delay_model = config.delay_model
+        if delay_model is None:
+            delay_model = make_uniform_delays(dataset.num_devices)
+
+        server = FederatedServer(
+            pool,
+            eval_model=eval_model,
+            executor=executor,
+            delay_model=delay_model,
+            client_fraction=config.client_fraction,
+            seed=server_seed,
+            eval_client_cap=config.max_eval_clients,
+        )
+        if w0 is None:
+            w0 = eval_model.init_parameters(init_seed)
+
+        run_config = {
+            "algorithm": config.algorithm,
+            "T": config.num_rounds,
+            "tau": config.num_local_steps,
+            "beta": config.beta,
+            "mu": config.mu,
+            "batch_size": config.batch_size,
+            "L": L,
+            "eta": eta,
+            "seed": config.seed,
+            **{f"solver_{k}": v for k, v in config.solver_kwargs.items()},
+        }
+        if ledger is not None:
+            ledger.write_manifest(
+                run_config,
+                entropy={
+                    "seed": config.seed,
+                    "init_seed": init_seed,
+                    "server_seed": server_seed,
+                },
+                attrs={
+                    "dataset": dataset.name,
+                    "model": type(eval_model).__name__,
+                    "executor": config.executor,
+                    "num_devices": dataset.num_devices,
+                    "client_fraction": config.client_fraction,
+                },
+            )
+        if monitors is not None:
+            bind_monitor_theory(monitors, beta=config.beta, mu=config.mu, L=L)
+            if ledger is not None:
+                monitors.attach_ledger(ledger)
+
+        # Simulated time (eq. (19)) is run-scoped: stamp every event this
+        # run emits with the server clock's elapsed value.
+        telemetry.attach_sim_clock(server.clock)
         with telemetry.span(
             "run",
             algorithm=config.algorithm,
@@ -464,7 +467,8 @@ def run_federated(
             )
         status = "diverged" if history.diverged() else "completed"
     finally:
-        executor.close()
+        if executor is not None:
+            executor.close()
         if ledger is not None:
             ledger.close(status)
     return history, w_final

@@ -76,8 +76,6 @@ class BatchKernel(ABC):
             Labels ``(K, B)``.
         out:
             Optional ``(K, D)`` output buffer (fully overwritten).
-
-        shape: W (K, D) float64, X_batch (K, B, f) float64, y_batch (K, B) -> (K, D) float64
         """
 
 
@@ -118,7 +116,6 @@ class LogisticBatchKernel(BatchKernel):
         b2 = W[:, self._wsize :] if self.fit_intercept else None
         return W3, b2
 
-    # shape: W (K, D) float64, X_batch (K, B, f) float64, y_batch (K, B) -> (K, D) float64
     def gradient_stack(self, W, X_batch, y_batch, out=None):
         K, B, f = X_batch.shape
         if W.shape != (K, self.num_parameters) or f != self.num_features:

@@ -85,6 +85,31 @@ class TestLemma1Bounds:
                 beta
             )
 
+    @staticmethod
+    def _svrg_bound_by_linear_scan(beta):
+        base = 5.0 * beta**2 - 4.0 * beta
+        tau = 0
+        while tau + 1 <= base / (8.0 * theory.svrg_min_a(tau + 1)) - 2.0:
+            tau += 1
+        rhs0 = base / (8.0 * theory.svrg_min_a(0)) - 2.0
+        if tau == 0 and rhs0 < 0:
+            return rhs0
+        return float(tau)
+
+    def test_svrg_self_consistent_bound_matches_linear_scan(self):
+        # The grid starts just above beta = 3, where even tau = 0 is
+        # infeasible and the negative bound itself comes back.
+        betas = [3.0 + 1e-9, 3.5, 9.0, 9.5, 14.0, 14.5]
+        betas += [3.0 + 0.37 * k**1.5 for k in range(1, 220)]
+        for beta in betas:
+            assert theory.tau_upper_bound_svrg(beta) == (
+                self._svrg_bound_by_linear_scan(beta)
+            ), beta
+        assert theory.tau_upper_bound_svrg(3.0 + 1e-9) < 0
+
+    def test_svrg_self_consistent_bound_at_beta_max(self):
+        assert theory.tau_upper_bound_svrg(1e7) == 1976421.0
+
 
 class TestLemma1Feasibility:
     def test_feasible_point(self):

@@ -11,6 +11,7 @@ from repro.core.local import FedAvgLocalSolver
 from repro.datasets import make_digits
 from repro.datasets.base import FederatedDataset
 from repro.exceptions import ConfigurationError
+from repro.fl import runner
 from repro.fl.client import Client
 from repro.fl.delays import make_uniform_delays
 from repro.fl.runner import FederatedRunConfig, resolve_smoothness, run_federated
@@ -18,6 +19,7 @@ from repro.fl.server import FederatedServer
 from repro.models import MultinomialLogisticModel, make_mlp_model, make_paper_cnn_model
 from repro.nn.im2col import im2col
 from repro.nn.layers import conv2d as conv2d_module
+from repro.obs import LedgerReader, RunLedger
 
 
 def build_server(dataset, **kwargs):
@@ -255,3 +257,62 @@ class TestProbeModelLifetime:
         # probe model, eval model, one model per client
         assert len(built) == 2 + dataset.num_devices
         assert ledger.alive_at_manifest is False
+
+
+class _ManifestFails:
+    """Ledger stub whose manifest write fails, after the executor exists."""
+
+    def __init__(self):
+        self.closed_with = None
+
+    def write_manifest(self, run_config, *, entropy=None, attrs=None):
+        raise OSError("manifest write failed")
+
+    def commit_round(self, *args, **kwargs):
+        pass
+
+    def close(self, status):
+        self.closed_with = status
+
+
+class TestSetupFailure:
+    def test_ledger_closes_failed_and_validates(
+        self, tmp_path, tiny_dataset, tiny_model_factory
+    ):
+        path = tmp_path / "r.ledger.jsonl"
+        cfg = FederatedRunConfig(num_rounds=1, smoothness=-1.0)
+        with pytest.raises(ConfigurationError):
+            run_federated(
+                tiny_dataset, tiny_model_factory, cfg, ledger=RunLedger(str(path))
+            )
+        reader = LedgerReader(str(path))
+        assert reader.validate() == []
+        assert reader.status == "failed"
+
+    def test_executor_closed_when_manifest_write_fails(
+        self, monkeypatch, tiny_dataset, tiny_model_factory
+    ):
+        closed = []
+        build = runner.make_executor
+
+        def spy(name, max_workers=None):
+            executor = build(name, max_workers)
+            close = executor.close
+
+            def recording_close():
+                closed.append(name)
+                close()
+
+            executor.close = recording_close
+            return executor
+
+        monkeypatch.setattr(runner, "make_executor", spy)
+        ledger = _ManifestFails()
+        with pytest.raises(OSError, match="manifest write failed"):
+            run_federated(
+                tiny_dataset, tiny_model_factory,
+                FederatedRunConfig(num_rounds=1, executor="thread", max_workers=2),
+                ledger=ledger,
+            )
+        assert closed == ["thread"]
+        assert ledger.closed_with == "failed"

@@ -401,6 +401,22 @@ class TestCliRunLedger:
         assert out == ""  # rejected before the dataset is built and announced
 
     @pytest.mark.parametrize(
+        "command, written",
+        [
+            (["run", "-a", "fedavg"], "r.jsonl"),
+            (["compare", "-a", "fedavg"], "r.fedavg.jsonl"),
+        ],
+    )
+    def test_fedavg_records_mu_zero(self, command, written, tmp_path, capsys):
+        # FedAvg's solver ignores mu; both commands record the 0 it uses.
+        assert main([
+            *command, "--devices", "4", "--rounds", "2", "--tau", "2",
+            "--ledger", str(tmp_path / "r.jsonl"),
+        ]) == 0
+        manifest = LedgerReader(str(tmp_path / written)).manifest
+        assert manifest["config"]["mu"] == 0.0
+
+    @pytest.mark.parametrize(
         "command",
         [
             ["run", "--beta", "0"],

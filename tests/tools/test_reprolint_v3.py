@@ -2,7 +2,7 @@
 (RL800), RNG escape into executor tasks (RL801), SharedMemory release
 paths (RL802), escaped-array mutation (RL803), threading.local reads in
 submitted callables (RL804), unordered aggregation (RL805) — plus the
-submission edges on the project index and ``--jobs`` parallel analysis.
+submission edges on the project index.
 """
 
 import textwrap
@@ -22,9 +22,9 @@ def make_tree(root: Path, files: dict) -> LintConfig:
     return LintConfig(root=root)
 
 
-def run_lint(root: Path, files: dict, **kwargs):
+def run_lint(root: Path, files: dict):
     config = make_tree(root, files)
-    return lint_paths([root / "src"], config, **kwargs), config
+    return lint_paths([root / "src"], config), config
 
 
 def rule_ids(report):
@@ -693,32 +693,3 @@ class TestSubmissionEdges:
             },
         )
         assert "local_update" in report.index.submitted_callables()
-
-
-# ---------------------------------------------------------------------------
-# --jobs: parallel per-file analysis is order-identical to serial
-# ---------------------------------------------------------------------------
-
-
-class TestParallelAnalysis:
-    FILES = {
-        f"src/repro/fl/mod_{i}.py": f"""\
-        import numpy as np
-
-        rng_{i} = np.random.default_rng({i})
-        """
-        for i in range(6)
-    }
-
-    def test_parallel_report_matches_serial(self, tmp_path):
-        serial, _ = run_lint(tmp_path, self.FILES)
-        config = LintConfig(root=tmp_path)
-        parallel = lint_paths([tmp_path / "src"], config, jobs=4)
-        assert [
-            (f.path, f.line, f.rule_id) for f in serial.findings
-        ] == [(f.path, f.line, f.rule_id) for f in parallel.findings]
-        assert len(serial.findings) >= 6
-
-    def test_jobs_one_is_default(self, tmp_path):
-        report, _ = run_lint(tmp_path, self.FILES, jobs=1)
-        assert len(report.findings) >= 6

@@ -19,20 +19,19 @@ runtime:
   a FedProxVR driver must satisfy (or be runtime-checked against) the
   Lemma 1 bounds;
 * **whole-program hygiene** (RL7xx) — import cycles, broken/dead
-  ``__all__`` exports, unreachable code, unused imports (the last two
-  auto-fixable via ``--fix``).
+  ``__all__`` exports, unreachable code, unused imports;
+* **concurrency** (RL8xx) — lock discipline, RNG and array escape into
+  executor tasks, SharedMemory release, unordered aggregation.
 
-See ``docs/LINTING.md`` for every rule, the suppression syntax
-(``# reprolint: disable=RLxxx``), SARIF output, ``--fix``, and the
-baseline-ratchet workflow.
+Its settings are the defaults in :mod:`tools.reprolint.config`.  See
+``docs/LINTING.md`` for every rule and the suppression syntax
+(``# reprolint: disable=RLxxx``).
 """
 
-from tools.reprolint.config import LintConfig, load_config
+from tools.reprolint.config import LintConfig
 from tools.reprolint.engine import LintReport, lint_paths
 from tools.reprolint.findings import Finding, Severity
 from tools.reprolint.registry import all_rules
-
-__version__ = "2.0.0"
 
 __all__ = [
     "Finding",
@@ -41,6 +40,4 @@ __all__ = [
     "Severity",
     "all_rules",
     "lint_paths",
-    "load_config",
-    "__version__",
 ]

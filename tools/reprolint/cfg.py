@@ -53,9 +53,6 @@ class Block:
     units: List[ast.stmt] = field(default_factory=list)
     succ: Set[int] = field(default_factory=set)
     pred: Set[int] = field(default_factory=set)
-    #: True for while/for header blocks (back-edge targets).  Fixpoint
-    #: analyses widen here so loop-carried facts converge quickly.
-    is_loop_head: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lines = [getattr(u, "lineno", "?") for u in self.units]
@@ -227,7 +224,6 @@ class _Builder:
 
     def _emit_while(self, stmt: ast.While, current: Block, scope_exit: Block):
         head = self.new_block()
-        head.is_loop_head = True
         head.units.append(stmt)  # header unit: the loop test
         self.edge(current, head)
         after = self.new_block()
@@ -254,7 +250,6 @@ class _Builder:
 
     def _emit_for(self, stmt, current: Block, scope_exit: Block):
         head = self.new_block()
-        head.is_loop_head = True
         head.units.append(stmt)  # header unit: iterable + target binding
         self.edge(current, head)
         after = self.new_block()

@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from tools.reprolint.baseline import prune_baseline, save_baseline
-from tools.reprolint.config import load_config
+from tools.reprolint.config import LintConfig
 from tools.reprolint.engine import lint_paths
-from tools.reprolint.fixes import apply_fixes, plan_fixes
 from tools.reprolint.registry import all_rules
-from tools.reprolint.reporters import render_json, render_sarif, render_text
+from tools.reprolint.reporters import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,70 +18,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description=(
             "AST static analysis enforcing this repository's layering, RNG, "
-            "dtype, numerical-safety, FedProxVR theory, provenance, and "
-            "whole-program hygiene contracts."
+            "dtype, numerical-safety, FedProxVR theory, provenance, "
+            "whole-program hygiene, and concurrency contracts."
         ),
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories (default: src)"
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="pyproject.toml holding [tool.reprolint] (default: ./pyproject.toml)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, help="override the configured baseline path"
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop baseline entries no current finding consumes, then exit 0",
-    )
-    parser.add_argument(
-        "--fail-stale-baseline",
-        action="store_true",
-        help="exit non-zero when the baseline holds stale entries (CI ratchet)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply safe auto-fixes (unused imports, broken __all__ entries)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the unified diff without writing files",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="origin/main",
-        default=None,
-        metavar="REF",
-        help="lint only files changed vs REF (default origin/main when the "
-        "flag is bare); the whole project is still parsed and indexed so "
-        "cross-file rules stay sound",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="analyze files on N threads (default 1: serial; the report "
-        "is identical either way)",
+        "--format", choices=("text", "json"), default="text", dest="fmt"
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print every rule and exit"
@@ -95,61 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _git_lines(root: Path, *cmd: str) -> Optional[List[str]]:
-    """stdout lines of one git command, or None when it fails."""
-    try:
-        proc = subprocess.run(
-            ("git",) + cmd,
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    return [line for line in proc.stdout.splitlines() if line.strip()]
-
-
-def changed_python_files(root: Path, ref: str) -> Optional[List[Path]]:
-    """Python files changed vs ``ref`` (committed, staged, unstaged, or
-    untracked), as absolute paths.  ``None`` when git can't answer —
-    callers should fall back to a full run rather than lint nothing."""
-    merge_base = _git_lines(root, "merge-base", ref, "HEAD")
-    base = merge_base[0] if merge_base else ref
-    diff = _git_lines(root, "diff", "--name-only", base)
-    if diff is None:
-        return None
-    untracked = _git_lines(root, "ls-files", "--others", "--exclude-standard")
-    names = list(diff) + list(untracked or [])
-    out: List[Path] = []
-    seen = set()
-    for name in names:
-        if not name.endswith(".py"):
-            continue
-        p = (root / name).resolve()
-        if p.is_file() and p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.dry_run and not args.fix:
-        print("error: --dry-run only makes sense with --fix", file=sys.stderr)
-        return 2
-    if args.changed and (
-        args.update_baseline or args.prune_baseline or args.fix
-    ):
-        print(
-            "error: --changed scopes the report to a file subset and cannot "
-            "combine with --update-baseline/--prune-baseline/--fix",
-            file=sys.stderr,
-        )
-        return 2
 
     if args.list_rules:
         for cls in all_rules():
@@ -157,8 +46,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{cls.description}")
         return 0
 
-    config = load_config(Path(args.config) if args.config else None)
-    baseline_path = Path(args.baseline) if args.baseline else config.baseline_path()
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -166,84 +53,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    changed_only = None
-    if args.changed:
-        changed_only = changed_python_files(config.root, args.changed)
-        if changed_only is None:
-            print(
-                f"warning: git could not diff against {args.changed!r}; "
-                "falling back to a full lint",
-                file=sys.stderr,
-            )
-        elif not changed_only:
-            print(f"no Python files changed vs {args.changed}")
-            return 0
-
-    report = lint_paths(
-        paths,
-        config,
-        baseline_path=baseline_path,
-        jobs=args.jobs,
-        changed_only=changed_only,
-    )
-
-    if args.update_baseline:
-        entries = save_baseline(baseline_path, report.findings + report.baselined)
-        print(f"baseline written: {baseline_path} ({len(entries)} fingerprint(s), "
-              f"{len(report.findings) + len(report.baselined)} finding(s))")
-        return 0
-
-    if args.prune_baseline:
-        if not report.stale_baseline:
-            print("baseline is tight: no stale entries")
-            return 0
-        pruned = prune_baseline(baseline_path, report.stale_baseline)
-        print(f"baseline pruned: {baseline_path} "
-              f"(-{len(report.stale_baseline)} stale fingerprint(s), "
-              f"{len(pruned)} remain)")
-        return 0
-
-    if args.fix:
-        fixes = plan_fixes(report.findings, config)
-        changed = [fix for fix in fixes if fix.changed]
-        for fix in fixes:
-            for finding, reason in fix.skipped:
-                print(f"skip {finding.location()}: {finding.rule_id}: {reason}",
-                      file=sys.stderr)
-        if args.dry_run:
-            for fix in changed:
-                sys.stdout.write(fix.diff())
-            print(f"would fix {sum(len(f.applied) for f in changed)} finding(s) "
-                  f"in {len(changed)} file(s) (dry run; nothing written)")
-            return 0
-        written = apply_fixes(fixes)
-        print(f"fixed {sum(len(f.applied) for f in changed)} finding(s) "
-              f"in {written} file(s)")
-        # Re-lint so the report and exit code describe the post-fix tree.
-        report = lint_paths(paths, config, baseline_path=baseline_path, jobs=args.jobs)
-
+    report = lint_paths(paths, LintConfig())
     if args.fmt == "json":
-        rendered = render_json(report)
-    elif args.fmt == "sarif":
-        rendered = render_sarif(report)
+        print(render_json(report))
     else:
-        rendered = render_text(report, verbose=args.verbose)
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(rendered + "\n", encoding="utf-8")
-        print(f"report written: {out}")
-    else:
-        print(rendered)
-
-    if args.fail_stale_baseline and report.stale_baseline:
-        print(
-            f"error: {len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'}; "
-            "run --prune-baseline and commit the result",
-            file=sys.stderr,
-        )
-        return 1
+        print(render_text(report, verbose=args.verbose))
     return report.exit_code
 
 

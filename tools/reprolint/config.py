@@ -1,28 +1,18 @@
-"""Declarative configuration, read from ``[tool.reprolint]`` in pyproject.toml.
+"""reprolint's configuration: the defaults below are the only settings.
 
 Everything the rules need to know about *this* repository — the layer
-map, which rule families run, where the baseline lives, which modules
-count as dtype/numerical hot paths — lives in pyproject so the tool
-itself stays repository-agnostic.
-
-Parsing uses :mod:`tomllib` where available (Python >= 3.11) and falls
-back to a deliberately minimal TOML-subset reader on 3.9/3.10 so the
-tool has zero third-party dependencies.
+map, which modules count as dtype/numerical hot paths, where RNG
+lineages start, which callables take Lemma-1 hyperparameters — lives
+here.  Tests build a :class:`LintConfig` with a narrower family set or
+module list for their fixtures; the command line always runs these
+defaults from the working directory.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
-
-from tools.reprolint.findings import Severity, parse_severity
-
-try:  # Python >= 3.11
-    import tomllib as _toml
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.9/3.10 CI
-    _toml = None
 
 
 #: Default layer map: lower number = lower layer; imports may only point
@@ -35,6 +25,12 @@ DEFAULT_LAYERS: Dict[str, int] = {
     "repro.exceptions": 0,
     "repro.utils": 0,
     "repro.obs": 0,
+    # Explicit pins for the ledger/monitor/diff modules: the prefix rule
+    # already covers them, but pinning makes an accidental layer bump
+    # (e.g. importing core.theory from the monitors) a visible edit here.
+    "repro.obs.ledger": 0,
+    "repro.obs.monitors": 0,
+    "repro.obs.diff": 0,
     "repro.backend": 0,
     "repro.nn": 1,
     "repro.models": 1,
@@ -101,25 +97,9 @@ DEFAULT_POSITIVE_CHECKS = [
     "check_positive_int",
 ]
 
-#: Hot-path roots for RL903: any function reachable from one of these in
-#: the project call graph counts as hot, so allocations in its loops are
-#: per-round/per-step costs.  Bare names match any module.
-DEFAULT_HOT_PATH_ROOTS = [
-    "solve_cohort",
-    "solve",
-    "gradient_stack",
-    "loss_stack",
-    "im2col",
-    "col2im",
-    "_gather_minibatches",
-    "run_round",
-    "forward",
-    "backward",
-]
-
 ALL_FAMILIES = (
     "layering", "rng", "dtype", "safety", "theory", "provenance", "hygiene",
-    "concurrency", "arrays",
+    "concurrency",
 )
 
 
@@ -131,8 +111,6 @@ class LintConfig:
     src_root: str = "src"
     layers: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LAYERS))
     enabled_families: List[str] = field(default_factory=lambda: list(ALL_FAMILIES))
-    disabled_rules: List[str] = field(default_factory=list)
-    baseline: str = "tools/reprolint/baseline.json"
     dtype_modules: List[str] = field(default_factory=lambda: list(DEFAULT_DTYPE_MODULES))
     numeric_modules: List[str] = field(
         default_factory=lambda: list(DEFAULT_NUMERIC_MODULES)
@@ -150,14 +128,6 @@ class LintConfig:
     positive_check_functions: List[str] = field(
         default_factory=lambda: list(DEFAULT_POSITIVE_CHECKS)
     )
-    hot_path_roots: List[str] = field(
-        default_factory=lambda: list(DEFAULT_HOT_PATH_ROOTS)
-    )
-    severity_overrides: Dict[str, Severity] = field(default_factory=dict)
-
-    def baseline_path(self) -> Path:
-        p = Path(self.baseline)
-        return p if p.is_absolute() else self.root / p
 
     def layer_of(self, module: str) -> Optional[int]:
         """Longest-prefix layer lookup; ``None`` for unmapped modules."""
@@ -175,149 +145,4 @@ class LintConfig:
             module == p or module.startswith(p + ".") for p in prefixes
         )
 
-    def rule_enabled(self, rule_id: str, family: str) -> bool:
-        return family in self.enabled_families and rule_id not in self.disabled_rules
 
-    def severity_for(self, rule_id: str, default: Severity) -> Severity:
-        return self.severity_overrides.get(rule_id, default)
-
-
-# ---------------------------------------------------------------------------
-# TOML loading
-# ---------------------------------------------------------------------------
-
-_SECTION_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-_KEY_RE = re.compile(
-    r"""^(?P<key>[A-Za-z0-9_\-]+|"[^"]+"|'[^']+')\s*=\s*(?P<value>.+)$"""
-)
-
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    if text.startswith("'") and text.endswith("'"):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    raise ValueError(f"unsupported TOML value: {text!r}")
-
-
-def _parse_minimal_toml(text: str) -> Dict[str, object]:
-    """Parse the TOML subset reprolint's own configuration uses.
-
-    Supports ``[dotted.section]`` headers and ``key = value`` lines where
-    the value is a string, number, boolean, or a single-line array of
-    those.  This is NOT a general TOML parser; it exists only so Python
-    3.9/3.10 (no :mod:`tomllib`) can read ``[tool.reprolint]`` without a
-    third-party dependency.
-    """
-    data: Dict[str, object] = {}
-    current = data
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _SECTION_RE.match(line)
-        if m:
-            current = data
-            for part in m.group("name").split("."):
-                part = part.strip().strip('"').strip("'")
-                current = current.setdefault(part, {})  # type: ignore[assignment]
-            continue
-        m = _KEY_RE.match(line)
-        if not m:
-            continue  # multi-line constructs: out of scope for the fallback
-        key = m.group("key").strip().strip('"').strip("'")
-        value = m.group("value").split("#")[0].strip() if not (
-            m.group("value").strip().startswith('"')
-            or m.group("value").strip().startswith("'")
-            or m.group("value").strip().startswith("[")
-        ) else m.group("value").strip()
-        if value.startswith("["):
-            inner = value.strip()
-            if not inner.endswith("]"):
-                continue  # multi-line array: unsupported in the fallback
-            body = inner[1:-1].strip()
-            items = []
-            if body:
-                for chunk in re.split(r",(?=(?:[^\"']*[\"'][^\"']*[\"'])*[^\"']*$)", body):
-                    chunk = chunk.strip()
-                    if chunk:
-                        items.append(_parse_scalar(chunk))
-            current[key] = items
-        else:
-            current[key] = _parse_scalar(value)
-    return data
-
-
-def _load_toml(path: Path) -> Dict[str, object]:
-    text = path.read_text(encoding="utf-8")
-    if _toml is not None:
-        return _toml.loads(text)
-    return _parse_minimal_toml(text)
-
-
-def load_config(pyproject: Optional[Path] = None) -> LintConfig:
-    """Build a :class:`LintConfig` from ``[tool.reprolint]``.
-
-    Missing file or missing section yields the built-in defaults with
-    ``root`` set to the pyproject's directory (or the CWD).
-    """
-    cfg = LintConfig()
-    if pyproject is None:
-        pyproject = Path.cwd() / "pyproject.toml"
-    pyproject = Path(pyproject)
-    if not pyproject.is_file():
-        return cfg
-    cfg.root = pyproject.resolve().parent
-    data = _load_toml(pyproject)
-    section = data.get("tool", {}).get("reprolint", {})  # type: ignore[union-attr]
-    if not isinstance(section, dict):
-        return cfg
-
-    if "src-root" in section:
-        cfg.src_root = str(section["src-root"])
-    if "baseline" in section:
-        cfg.baseline = str(section["baseline"])
-    if "families" in section:
-        cfg.enabled_families = [str(v) for v in section["families"]]
-    if "disable" in section:
-        cfg.disabled_rules = [str(v) for v in section["disable"]]
-    if "dtype-modules" in section:
-        cfg.dtype_modules = [str(v) for v in section["dtype-modules"]]
-    if "numeric-modules" in section:
-        cfg.numeric_modules = [str(v) for v in section["numeric-modules"]]
-    if "rng-modules" in section:
-        cfg.rng_modules = [str(v) for v in section["rng-modules"]]
-    if "rng-factories" in section:
-        cfg.rng_factories = [str(v) for v in section["rng-factories"]]
-    if "driver-callables" in section:
-        cfg.driver_callables = [str(v) for v in section["driver-callables"]]
-    if "theory-check-functions" in section:
-        cfg.theory_check_functions = [
-            str(v) for v in section["theory-check-functions"]
-        ]
-    if "positive-check-functions" in section:
-        cfg.positive_check_functions = [
-            str(v) for v in section["positive-check-functions"]
-        ]
-    if "hot-path-roots" in section:
-        cfg.hot_path_roots = [str(v) for v in section["hot-path-roots"]]
-    layers = section.get("layers")
-    if isinstance(layers, dict) and layers:
-        cfg.layers = {str(k): int(v) for k, v in layers.items()}
-    severity = section.get("severity")
-    if isinstance(severity, dict):
-        cfg.severity_overrides = {
-            str(k): parse_severity(str(v)) for k, v in severity.items()
-        }
-    return cfg

@@ -6,25 +6,23 @@ The engine runs in two phases:
    ``<root>/<src_root>`` (the ones with a dotted module identity) are
    folded into a :class:`~tools.reprolint.projectindex.ProjectIndex`
    holding symbol tables, the resolved import graph, export usage, and
-   a best-effort call graph.
+   executor submission edges.
 2. **Rules** — each file's rules run against its cached tree with the
    shared index (and a lazily built per-file dataflow analysis) exposed
    through :class:`~tools.reprolint.registry.FileContext`.
 
-Findings then pass through statement-scoped suppressions and the
-committed baseline; baseline fingerprints that no finding consumed are
-reported as *stale* so the ratchet only ever shrinks.
+Findings then pass through statement-scoped suppressions: an inline
+``# reprolint: disable=RLxxx`` with its reason is the one way to accept
+a finding.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from tools.reprolint.baseline import load_baseline, split_by_baseline
 from tools.reprolint.config import LintConfig
 from tools.reprolint.findings import Finding, Severity, sort_findings
 from tools.reprolint.projectindex import ProjectIndex
@@ -39,12 +37,8 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed_count: int = 0
     files_checked: int = 0
-    #: Baseline fingerprints (and their unconsumed counts) that matched
-    #: no current finding — stale entries the ratchet should drop.
-    stale_baseline: Dict[str, int] = field(default_factory=dict)
     index: Optional[ProjectIndex] = None
 
     @property
@@ -77,8 +71,8 @@ def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
 def module_name_for(path: Path, config: LintConfig) -> Optional[str]:
     """Dotted module name for files under ``<root>/<src_root>``, else None.
 
-    Only src-tree files get a module identity (and therefore layer and
-    hot-path scoping); tests, tools, and benches are still parsed, and
+    Only src-tree files get a module identity (and therefore layer
+    scoping); tests, tools, and benches are still parsed, and
     rules treat ``module_name=None`` as out of scope where appropriate.
     """
     try:
@@ -146,7 +140,7 @@ def build_index(parsed: Sequence[ParsedFile]) -> ProjectIndex:
     """Phase-1 output: the whole-program index over src-tree files."""
     return ProjectIndex.build(
         [
-            (p.path, p.display_path, p.module_name, p.tree, p.lines)
+            (p.path, p.display_path, p.module_name, p.tree)
             for p in parsed
             if p.module_name is not None and p.tree is not None
         ]
@@ -176,76 +170,19 @@ def _check_parsed(
     return kept, len(findings) - len(kept)
 
 
-def lint_file(path: Path, config: LintConfig) -> Tuple[List[Finding], int]:
-    """Lint one file standalone (no project index); returns
-    ``(findings, suppressed_count)``."""
-    return _check_parsed(_parse_file(path, config), config, None)
-
-
-def lint_paths(
-    paths: Sequence[Path],
-    config: LintConfig,
-    *,
-    baseline_path: Optional[Path] = None,
-    jobs: int = 1,
-    changed_only: Optional[Sequence[Path]] = None,
-) -> LintReport:
-    """Lint every Python file under ``paths`` and apply the baseline.
-
-    ``jobs > 1`` runs the per-file rule phase on a thread pool.  Results
-    are collected in file-discovery order regardless of completion
-    order, so the report is identical to a serial run; rules share the
-    read-only :class:`ProjectIndex` and each file's dataflow is private
-    to its :class:`FileContext`, so the phase parallelizes safely.
-
-    ``changed_only`` (a set of file paths, e.g. from ``git diff``)
-    scopes the *rule phase* to those files while still parsing and
-    indexing everything under ``paths`` — cross-file rules keep the
-    whole-program view, only the reporting surface shrinks.  Stale-
-    baseline accounting is disabled in scoped runs: fingerprints owned
-    by unscoped files would always look unconsumed.
-    """
+def lint_paths(paths: Sequence[Path], config: LintConfig) -> LintReport:
+    """Lint every Python file under ``paths``."""
     report = LintReport()
     parsed_files = [
         _parse_file(path, config) for path in iter_python_files([Path(p) for p in paths])
     ]
     index = build_index(parsed_files)
     report.index = index
-    if changed_only is not None:
-        changed_set = {Path(p).resolve() for p in changed_only}
-        parsed_files = [
-            p for p in parsed_files if p.path.resolve() in changed_set
-        ]
     raw: List[Finding] = []
-    if jobs > 1 and len(parsed_files) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda parsed: _check_parsed(parsed, config, index),
-                    parsed_files,
-                )
-            )
-    else:
-        results = [
-            _check_parsed(parsed, config, index) for parsed in parsed_files
-        ]
-    for file_findings, suppressed in results:
+    for parsed in parsed_files:
+        file_findings, suppressed = _check_parsed(parsed, config, index)
         report.files_checked += 1
         report.suppressed_count += suppressed
         raw.extend(file_findings)
-    if baseline_path is None:
-        baseline_path = config.baseline_path()
-    baseline = load_baseline(baseline_path)
-    new, matched = split_by_baseline(sort_findings(raw), baseline)
-    report.findings = new
-    report.baselined = matched
-    consumed = Counter(f.fingerprint() for f in matched)
-    if changed_only is None:
-        report.stale_baseline = {
-            fp: count - consumed.get(fp, 0)
-            for fp, count in sorted(baseline.items())
-            if count - consumed.get(fp, 0) > 0
-        }
+    report.findings = sort_findings(raw)
     return report

@@ -5,14 +5,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict
 
 
 class Severity(str, Enum):
     """How a finding affects the exit code.
 
-    ``ERROR`` and ``WARNING`` gate (non-zero exit unless baselined or
-    suppressed); ``INFO`` is advisory and never fails a run.
+    ``ERROR`` and ``WARNING`` gate (non-zero exit unless suppressed
+    inline); ``INFO`` is advisory and never fails a run.
     """
 
     ERROR = "error"
@@ -45,11 +45,10 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}"
 
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline.
+        """Line-number-independent identity reported in JSON output.
 
         Keyed on (path, rule, source text) so unrelated edits that shift
-        line numbers do not invalidate baseline entries; identical
-        violations on distinct lines are disambiguated by count.
+        line numbers leave it unchanged.
         """
         text = self.source_line.strip()
         digest = hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
@@ -74,11 +73,3 @@ def sort_findings(findings) -> list:
     """Stable report order: path, line, rule."""
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
-
-def parse_severity(value: str, default: Optional[Severity] = None) -> Severity:
-    try:
-        return Severity(value.lower())
-    except ValueError:
-        if default is not None:
-            return default
-        raise

@@ -3,8 +3,8 @@
 The index gives rules the cross-file facts a single ``ast.walk`` cannot
 see: which module defines/exports which names, who imports what (the
 resolved import graph, relative imports included), which exported names
-are actually consumed anywhere in the project, and a best-effort call
-graph over project-defined functions.
+are actually consumed anywhere in the project, and which callables are
+handed to executor pools.
 
 Only files with a module identity (under ``<root>/<src_root>``) enter
 the graph; tools/tests are parsed and linted but have no dotted name to
@@ -59,8 +59,6 @@ class ModuleInfo:
     path: Path
     display_path: str
     tree: ast.AST
-    #: raw source lines — the shape pass reads ``# shape:`` annotations.
-    lines: List[str] = field(default_factory=list)
     defined: Dict[str, int] = field(default_factory=dict)
     imports: List[ImportBinding] = field(default_factory=list)
     exports: List[Tuple[str, int]] = field(default_factory=list)
@@ -169,24 +167,21 @@ def _collect(info: ModuleInfo) -> None:
 
 
 class ProjectIndex:
-    """Symbol tables, import graph, export usage, and call graph."""
+    """Symbol tables, import graph, export usage, and submission edges."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
 
     @classmethod
-    def build(
-        cls, parsed: List[Tuple[Path, str, str, ast.AST, List[str]]]
-    ) -> "ProjectIndex":
-        """Build from ``(path, display_path, module_name, tree, lines)``."""
+    def build(cls, parsed: List[Tuple[Path, str, str, ast.AST]]) -> "ProjectIndex":
+        """Build from ``(path, display_path, module_name, tree)``."""
         index = cls()
-        for path, display, module_name, tree, lines in parsed:
+        for path, display, module_name, tree in parsed:
             info = ModuleInfo(
                 name=module_name,
                 path=path,
                 display_path=display,
                 tree=tree,
-                lines=lines,
             )
             _collect(info)
             index.modules[module_name] = info
@@ -260,9 +255,6 @@ class ProjectIndex:
 
     # -- import graph ------------------------------------------------------
 
-    def import_graph(self) -> Dict[str, Set[str]]:
-        return {k: set(v) for k, v in self._import_graph.items()}
-
     def import_line(self, importer: str, imported: str) -> int:
         return self._import_lines.get((importer, imported), 1)
 
@@ -325,132 +317,6 @@ class ProjectIndex:
 
     def export_consumed(self, module: str, name: str) -> bool:
         return (module, name) in self._consumed
-
-    # -- call graph --------------------------------------------------------
-
-    def call_graph(self) -> Dict[str, Set[str]]:
-        """Best-effort ``module.func -> {qualified callee}`` edges.
-
-        Resolves direct-name calls to local defs or ``from``-imported
-        functions, ``mod.func()`` attribute calls through whole-module
-        imports, and ``self.method()`` / ``cls.method()`` calls to
-        sibling methods of the *same* class (keyed, like every function,
-        as ``module.method`` — the class name is not part of the key).
-        Other dynamic dispatch and aliases through data structures are
-        out of scope — the graph under-approximates.  Memoized: the
-        trees are immutable after the parse phase, and hot_functions()
-        runs per file, so rebuilding per call would be quadratic.
-        """
-        cached = getattr(self, "_call_graph", None)
-        if cached is not None:
-            return cached
-        graph: Dict[str, Set[str]] = {}
-        for name, info in self.modules.items():
-            from_imports = {
-                imp.binding: f"{imp.module}.{imp.name}"
-                for imp in info.imports
-                if imp.name is not None
-            }
-            module_imports = {
-                imp.binding: imp.module for imp in info.imports if imp.name is None
-            }
-            # Sibling-method sets: id(method node) -> names its class defines.
-            siblings: Dict[int, Set[str]] = {}
-            for cls_node in ast.walk(info.tree):
-                if not isinstance(cls_node, ast.ClassDef):
-                    continue
-                names = {
-                    m.name
-                    for m in cls_node.body
-                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                }
-                for m in cls_node.body:
-                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        siblings[id(m)] = names
-            for node in ast.walk(info.tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                caller = f"{name}.{node.name}"
-                edges = graph.setdefault(caller, set())
-                own_methods = siblings.get(id(node), set())
-                for sub in ast.walk(node):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    callee = self._resolve_call(
-                        sub.func, name, info, from_imports, module_imports
-                    )
-                    if callee is None and isinstance(sub.func, ast.Attribute):
-                        recv = sub.func.value
-                        if (
-                            isinstance(recv, ast.Name)
-                            and recv.id in ("self", "cls")
-                            and sub.func.attr in own_methods
-                        ):
-                            callee = f"{name}.{sub.func.attr}"
-                    if callee is not None:
-                        edges.add(callee)
-        # Atomic attribute write: safe under --jobs (worst case two
-        # threads compute the same graph and one wins).
-        self._call_graph = graph
-        return graph
-
-    def hot_functions(self, roots: List[str]) -> Set[str]:
-        """Call-graph closure of the configured hot-path roots.
-
-        ``roots`` entries may be bare (``solve_cohort``) or qualified
-        (``repro.fl.executor.solve_cohort``).  Bare roots seed every
-        function whose unqualified name matches.  Returns both qualified
-        keys and their bare names so files *without* a module identity
-        (tools/tests) can still match by function name.
-        """
-        graph = self.call_graph()
-        seeds: Set[str] = set()
-        root_set = set(roots)
-        for qual in graph:
-            bare = qual.rsplit(".", 1)[-1]
-            if qual in root_set or bare in root_set:
-                seeds.add(qual)
-        # Roots that never appear as callers still count by name.
-        closure: Set[str] = set(seeds)
-        work = list(seeds)
-        while work:
-            current = work.pop()
-            for callee in graph.get(current, ()):
-                if callee not in closure:
-                    closure.add(callee)
-                    work.append(callee)
-        out = set(root_set) | closure
-        out |= {q.rsplit(".", 1)[-1] for q in closure}
-        return out
-
-    def shape_summaries(self):
-        """``# shape:``-annotated function summaries across the project.
-
-        Returns ``(by_qualname, by_method_name)`` dicts of
-        :class:`tools.reprolint.shapes.FunctionSummary`.  Memoized; the
-        import lives here (not at module top) to keep projectindex free
-        of a static dependency on the shapes domain.
-        """
-        cached = getattr(self, "_shape_summaries", None)
-        if cached is not None:
-            return cached
-        from tools.reprolint.shapes import collect_module_summaries
-
-        by_qual: Dict[str, object] = {}
-        by_method: Dict[str, object] = {}
-        for name, info in self.modules.items():
-            local = collect_module_summaries(info.tree, info.lines, name)
-            for key, summary in local.items():
-                by_qual.setdefault(key, summary)
-            for summary in local.values():
-                if summary.is_method:
-                    by_method.setdefault(
-                        summary.qualname.rsplit(".", 1)[-1], summary
-                    )
-        # Dict assignment is atomic; a duplicate rebuild under --jobs is
-        # idempotent, so no lock is needed.
-        self._shape_summaries = (by_qual, by_method)
-        return self._shape_summaries
 
     def _resolve_call(
         self,

@@ -13,7 +13,6 @@ from tools.reprolint.findings import Finding, Severity
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from tools.reprolint.dataflow import ModuleDataflow
     from tools.reprolint.projectindex import ProjectIndex
-    from tools.reprolint.shapes import ModuleShapes
 
 
 @dataclass
@@ -21,9 +20,8 @@ class FileContext:
     """Everything a rule may consult about the file under analysis.
 
     ``tree`` and ``index`` are populated by the two-phase engine
-    (:func:`tools.reprolint.engine.lint_paths`); standalone
-    :func:`lint_file` calls leave ``index`` as None and whole-program
-    rules must degrade gracefully.
+    (:func:`tools.reprolint.engine.lint_paths`); whole-program rules
+    must degrade gracefully when ``index`` is None.
     """
 
     path: Path
@@ -35,9 +33,6 @@ class FileContext:
     tree: Optional[ast.AST] = None
     index: Optional["ProjectIndex"] = None
     _dataflow: Optional["ModuleDataflow"] = field(
-        default=None, repr=False, compare=False
-    )
-    _shapes: Optional["ModuleShapes"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -61,38 +56,13 @@ class FileContext:
             )
         return self._dataflow
 
-    def shapes(self) -> "ModuleShapes":
-        """The file's shape/dtype analysis, built on first use and cached.
-
-        When the engine supplied a :class:`ProjectIndex`, annotated
-        summaries from *other* modules seed interprocedural call sites;
-        standalone contexts fall back to local annotations only.
-        """
-        if self._shapes is None:
-            if self.tree is None:
-                raise ValueError("FileContext has no tree; cannot run shapes")
-            from tools.reprolint.shapes import ModuleShapes
-
-            summaries = None
-            method_summaries = None
-            if self.index is not None:
-                summaries, method_summaries = self.index.shape_summaries()
-            self._shapes = ModuleShapes(
-                self.tree,
-                self.lines,
-                module_name=self.module_name,
-                summaries=summaries,
-                method_summaries=method_summaries,
-            )
-        return self._shapes
-
 
 class Rule:
     """One statically-checkable invariant.
 
     Subclasses set the class attributes and implement :meth:`check`,
     yielding :class:`Finding` objects.  Use :meth:`make_finding` so the
-    severity override and source-line capture are applied uniformly.
+    location and source-line capture are applied uniformly.
     """
 
     rule_id: str = ""
@@ -118,7 +88,7 @@ class Rule:
             path=ctx.display_path,
             line=lineno,
             col=col,
-            severity=ctx.config.severity_for(self.rule_id, self.severity),
+            severity=self.severity,
             source_line=ctx.source_line(lineno),
             extra=dict(extra),
         )
@@ -149,5 +119,5 @@ def active_rules(config: LintConfig) -> List[Rule]:
     return [
         cls()
         for cls in all_rules()
-        if config.rule_enabled(cls.rule_id, cls.family)
+        if cls.family in config.enabled_families
     ]

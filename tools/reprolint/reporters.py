@@ -1,51 +1,11 @@
-"""Text, JSON, and SARIF renderers for a :class:`LintReport`."""
+"""Text and JSON renderers for a :class:`LintReport`."""
 
 from __future__ import annotations
 
 import json
 
 from tools.reprolint.engine import LintReport
-from tools.reprolint.findings import SEVERITY_ORDER, Severity
-from tools.reprolint.registry import all_rules
-
-#: SARIF reportingConfiguration.level per reprolint severity.
-_SARIF_LEVEL = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "note",
-}
-
-#: GitHub-style anchors of each family's section in docs/LINTING.md
-#: (kept in sync by tests/tools/test_shapes.py::TestSarifHelp).
-_FAMILY_ANCHORS = {
-    "layering": "rl1xx--import-layering",
-    "rng": "rl2xx--rng-discipline",
-    "dtype": "rl3xx--dtype-discipline",
-    "safety": "rl4xx--numerical--exception-safety",
-    "theory": "rl5xx--theory-contracts-icpp20-lemma-1",
-    "provenance": "rl6xx--value-provenance-dataflow",
-    "hygiene": "rl7xx--whole-program-hygiene",
-    "concurrency": "rl8xx--concurrency--shared-state",
-    "arrays": "rl9xx--array-shapes-and-dtypes",
-}
-
-
-def rule_help_uri(cls) -> str:
-    """docs/LINTING.md anchor for one rule's family section."""
-    anchor = _FAMILY_ANCHORS.get(cls.family)
-    return f"docs/LINTING.md#{anchor}" if anchor else "docs/LINTING.md"
-
-
-def rule_full_description(cls) -> str:
-    """First docstring paragraph of the rule class (one line), falling
-    back to the short description."""
-    doc = cls.__doc__ or ""
-    para_lines = []
-    for line in doc.strip().splitlines():
-        if not line.strip():
-            break
-        para_lines.append(line.strip())
-    return " ".join(para_lines) if para_lines else cls.description
+from tools.reprolint.findings import SEVERITY_ORDER
 
 
 def render_text(report: LintReport, *, verbose: bool = False) -> str:
@@ -64,16 +24,8 @@ def render_text(report: LintReport, *, verbose: bool = False) -> str:
         f"checked {report.files_checked} file(s): "
         + (summary if summary else "no findings")
     )
-    if report.baselined:
-        tail += f"; {len(report.baselined)} baselined"
     if report.suppressed_count:
         tail += f"; {report.suppressed_count} suppressed inline"
-    if report.stale_baseline:
-        tail += (
-            f"; {len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} "
-            "(--prune-baseline removes them)"
-        )
     lines.append(tail)
     return "\n".join(lines)
 
@@ -82,79 +34,8 @@ def render_json(report: LintReport) -> str:
     payload = {
         "files_checked": report.files_checked,
         "counts": report.counts_by_severity(),
-        "baselined": len(report.baselined),
         "suppressed": report.suppressed_count,
         "exit_code": report.exit_code,
-        "stale_baseline": dict(report.stale_baseline),
         "findings": [f.as_dict() for f in report.findings],
     }
     return json.dumps(payload, indent=2)
-
-
-def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 log for code-scanning upload.
-
-    Baselined and suppressed findings are excluded (matching the text
-    and JSON reporters); severities map error/warning/``note``.
-    """
-    from tools.reprolint import __version__
-
-    rules = all_rules()
-    rule_index = {cls.rule_id: i for i, cls in enumerate(rules)}
-    results = []
-    for f in report.findings:
-        results.append(
-            {
-                "ruleId": f.rule_id,
-                "ruleIndex": rule_index.get(f.rule_id, -1),
-                "level": _SARIF_LEVEL[f.severity],
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": f.path,
-                                "uriBaseId": "%SRCROOT%",
-                            },
-                            "region": {
-                                "startLine": max(f.line, 1),
-                                "startColumn": f.col + 1,
-                            },
-                        }
-                    }
-                ],
-                "partialFingerprints": {"reprolint/v1": f.fingerprint()},
-            }
-        )
-    log = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "version": __version__,
-                        "informationUri": "docs/LINTING.md",
-                        "rules": [
-                            {
-                                "id": cls.rule_id,
-                                "shortDescription": {"text": cls.description},
-                                "fullDescription": {
-                                    "text": rule_full_description(cls)
-                                },
-                                "helpUri": rule_help_uri(cls),
-                                "defaultConfiguration": {
-                                    "level": _SARIF_LEVEL[cls.severity]
-                                },
-                            }
-                            for cls in rules
-                        ],
-                    }
-                },
-                "columnKind": "unicodeCodePoints",
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2)

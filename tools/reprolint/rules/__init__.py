@@ -1,7 +1,6 @@
 """Rule implementations; importing this package registers every rule."""
 
 from tools.reprolint.rules import (  # noqa: F401
-    arrays,
     concurrency,
     dtype,
     hygiene,

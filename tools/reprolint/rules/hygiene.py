@@ -8,16 +8,14 @@ public surface from rotting as the codebase grows:
   RL100 catches *upward* edges; a cycle of same-layer modules slips
   past it);
 * RL701 — ``__all__`` names the module neither defines nor imports
-  (a star-import or ``help()`` would raise ``AttributeError``) —
-  auto-fixable by pruning the entry;
+  (a star-import or ``help()`` would raise ``AttributeError``);
 * RL702 — advisory: an export no other project module consumes
   (candidate dead public API; a library legitimately exports outward-
   facing names, hence INFO);
 * RL703 — statements no control-flow path reaches (code after
   ``return``/``raise``/``break``/``continue``, or after a
   ``while True`` with no break);
-* RL704 — imported bindings never used in the file — auto-fixable by
-  removing the binding.
+* RL704 — imported bindings never used in the file.
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ class BrokenExportRule(Rule):
     severity = Severity.ERROR
     description = (
         "__all__ names a symbol the module neither defines nor imports; "
-        "star-imports would raise AttributeError.  --fix prunes the entry."
+        "star-imports would raise AttributeError."
     )
 
     def check(self, tree: ast.AST, ctx: FileContext) -> Iterable[Finding]:
@@ -200,8 +198,8 @@ class UnusedImportRule(Rule):
     family = "hygiene"
     severity = Severity.WARNING
     description = (
-        "Imported name is never used in this file.  --fix removes the "
-        "binding (package __init__ re-exports listed in __all__ are kept)."
+        "Imported name is never used in this file (package __init__ "
+        "re-exports listed in __all__ are exempt)."
     )
 
     def check(self, tree: ast.AST, ctx: FileContext) -> Iterable[Finding]:

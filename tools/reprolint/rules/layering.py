@@ -1,6 +1,6 @@
 """RL1xx — import-layering rules.
 
-The intended package DAG (configured under ``[tool.reprolint.layers]``)::
+The intended package DAG (``DEFAULT_LAYERS`` in :mod:`tools.reprolint.config`)::
 
     utils/exceptions  ->  nn/models/datasets  ->  core  ->  fl  ->  cli/analysis/viz
 
