@@ -26,44 +26,40 @@ def federation():
     )
     solver = FedAvgLocalSolver(step_size=0.001, num_steps=10, batch_size=128)
 
+    def model_factory():
+        return MultinomialLogisticModel(dataset.num_features, dataset.num_classes)
+
     def clients():
+        model = model_factory()
         return [
-            Client(
-                d.device_id,
-                d,
-                MultinomialLogisticModel(dataset.num_features, dataset.num_classes),
-                solver,
-                base_seed=0,
-            )
+            Client(d.device_id, d, model, solver, base_seed=0)
             for d in dataset.devices
         ]
 
-    w0 = MultinomialLogisticModel(
-        dataset.num_features, dataset.num_classes
-    ).init_parameters(0)
-    return clients, w0
+    w0 = model_factory().init_parameters(0)
+    return clients, w0, model_factory
 
 
 def test_sequential_round(benchmark, federation):
-    clients_fn, w0 = federation
+    clients_fn, w0, _ = federation
     clients = clients_fn()
     executor = SequentialExecutor()
     benchmark(lambda: executor.run_round(clients, w0, 1))
 
 
 def test_threaded_round(benchmark, federation):
-    clients_fn, w0 = federation
+    clients_fn, w0, model_factory = federation
     clients = clients_fn()
-    with ThreadPoolClientExecutor(max_workers=4) as executor:
+    with ThreadPoolClientExecutor(model_factory, max_workers=4) as executor:
         benchmark(lambda: executor.run_round(clients, w0, 1))
 
 
 def test_straggler_gap(federation, save_json):
     """Record sequential vs thread-pool straggler gaps and round seconds."""
-    clients_fn, w0 = federation
+    clients_fn, w0, model_factory = federation
     executors = {
         "sequential": SequentialExecutor(),
-        "thread": ThreadPoolClientExecutor(max_workers=4),
+        "thread": ThreadPoolClientExecutor(model_factory, max_workers=4),
     }
     payload = {}
     try:

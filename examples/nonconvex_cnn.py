@@ -39,7 +39,7 @@ def main() -> None:
             batch_size=64,
             seed=4,
             eval_every=2,
-            executor="thread",  # clients run concurrently (per-client models)
+            executor="thread",  # clients run concurrently (one model per worker)
             max_workers=5,
         )
         history, _ = run_federated(dataset, model_factory, config)

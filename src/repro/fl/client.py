@@ -17,10 +17,10 @@ from repro.utils.rng import derive_generator
 class Client:
     """Simulated device participating in federated training.
 
-    ``model`` may be shared across clients under the sequential executor
-    (all models here are pure functions of ``(w, X, y)`` apart from
-    transient layer caches); parallel executors must give each client
-    its own instance because those caches are per-call state.
+    ``model`` may be shared by any number of clients: a model is a pure
+    function of ``(w, X, y)`` (:class:`~repro.models.base.Model`).  Two
+    solves running at once need two models, so the thread pool passes
+    each solve a worker model of its own.
 
     ``base_seed`` makes the client's per-round randomness a pure
     function of ``(client id, round index)``, so results are identical
@@ -38,11 +38,12 @@ class Client:
         return derive_generator(self.base_seed, self.client_id, round_index)
 
     def local_update(
-        self, w_global: np.ndarray, round_index: int
+        self, w_global: np.ndarray, round_index: int, model: Optional[Model] = None
     ) -> LocalSolveResult:
-        """Run the local solver on this device's training shard."""
+        """Run the local solver on this device's training shard (with
+        ``model`` in place of the client's own, if given)."""
         return self.solver.solve(
-            self.model,
+            self.model if model is None else model,
             self.data.X_train,
             self.data.y_train,
             w_global,

@@ -5,7 +5,8 @@ semantics are identical whether clients run sequentially or
 concurrently, because each (client, round) pair derives its own RNG
 stream.  The thread-pool executor gives real speedups on models whose
 gradient work releases the GIL inside BLAS (dense/conv GEMMs); it
-requires per-client model instances (see :class:`repro.fl.client.Client`).
+solves with one model per worker thread, not per client, because a
+model's working memory is needed once per solve that is running.
 The batched executor goes further for homogeneous convex cohorts: it
 stacks same-architecture clients into ``(K, D)`` parameter blocks and
 runs their inner loops as single vectorized solves
@@ -16,15 +17,18 @@ to per-client solves wherever no bit-identical kernel exists.
 from __future__ import annotations
 
 import os
+import queue
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.local.base import LocalSolveResult
 from repro.fl.client import Client
+from repro.models.base import Model
 from repro.models.batched import cohort_signature, make_batch_kernel
 from repro.obs import telemetry
 from repro.utils.validation import check_positive_int
@@ -79,11 +83,12 @@ class ClientExecutor(ABC):
         """Release any pooled resources (default: nothing to do)."""
 
 
-def _timed_update(client, w_global, round_index, parent):
+def _timed_update(client, w_global, round_index, parent, model=None):
     """One client's local solve, timed, inside a ``local_solve`` span.
 
     ``parent`` pins the span under the caller's round span even when
     this runs on a pool thread whose own context stack is empty.
+    ``model`` replaces the client's own model (a pool worker's).
     """
     with telemetry.span(
         "local_solve",
@@ -92,7 +97,7 @@ def _timed_update(client, w_global, round_index, parent):
         round=round_index,
     ):
         start = time.perf_counter()
-        result = client.local_update(w_global, round_index)
+        result = client.local_update(w_global, round_index, model)
         seconds = time.perf_counter() - start
     return result, seconds
 
@@ -118,47 +123,64 @@ class ThreadPoolClientExecutor(ClientExecutor):
     ``min(len(clients), os.cpu_count())`` — one thread per client up to
     the machine's cores, the widest useful fan-out for BLAS-bound
     solves.
+
+    Two solves running at once need two models (layer caches are
+    per-call state), so the pool builds one model per worker from
+    ``model_factory`` on first use — never by ``copy.deepcopy``, whose
+    copy keeps method wrappers that still call the original's layers.
+    Each task checks a model out, solves its client's shard with it and
+    puts it back; the clients' own models are never touched, so every
+    client must fit the factory's architecture (``run_federated``'s do).
     """
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        model_factory: Callable[[], Model],
+        max_workers: Optional[int] = None,
+    ) -> None:
         if max_workers is not None:
             check_positive_int("max_workers", max_workers)
+        self._model_factory = model_factory
         self._max_workers = max_workers
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._models: "queue.SimpleQueue[Model]" = queue.SimpleQueue()
         self._closed = False
-        # Client sets are stable across rounds, so the distinct-model
-        # invariant is checked once per set, not once per round.
-        self._validated_clients: Optional[Tuple[int, ...]] = None
 
     def _ensure_pool(self, num_clients: int) -> ThreadPoolExecutor:
         if self._pool is None:
             workers = self._max_workers
             if workers is None:
                 workers = max(1, min(num_clients, os.cpu_count() or 1))
+            for _ in range(workers):
+                self._models.put(self._model_factory())
             self._pool = ThreadPoolExecutor(max_workers=workers)
         return self._pool
 
-    def _validate_clients(self, clients: Sequence[Client]) -> None:
-        key = tuple(id(c) for c in clients)
-        if key == self._validated_clients:
-            return
-        if len(set(id(c.model) for c in clients)) != len(clients):
-            raise RuntimeError(
-                "parallel execution requires one model instance per client "
-                "(shared models carry per-call forward/backward caches)"
-            )
-        self._validated_clients = key
+    @contextmanager
+    def _checkout(self) -> Iterator[Model]:
+        """Lend a worker model to one solve.
+
+        At most ``workers`` solves run at once, so one is always free.
+        """
+        model = self._models.get()
+        try:
+            yield model
+        finally:
+            self._models.put(model)
+
+    def _update(self, client, w_global, round_index, parent):
+        with self._checkout() as model:
+            return _timed_update(client, w_global, round_index, parent, model)
 
     def run_round(self, clients, w_global, round_index):
         if self._closed:
             raise RuntimeError("executor already closed")
-        self._validate_clients(clients)
         self._ensure_pool(len(clients))
         # Capture the round span *here* (submitting thread); the pool
         # threads have empty context stacks of their own.
         parent = telemetry.current_span()
         futures = [
-            self._pool.submit(_timed_update, c, w_global, round_index, parent)
+            self._pool.submit(self._update, c, w_global, round_index, parent)
             for c in clients
         ]
         pairs = [f.result() for f in futures]

@@ -113,7 +113,9 @@ class ProcessPoolClientExecutor(ClientExecutor):
     shared memory and workers attach them in their initializer, so later
     rounds must present the same clients (federated runs do).  Call
     :meth:`close` (or use as a context manager) to shut the pool down
-    and unlink the segments.
+    and unlink the segments.  A forked worker runs one task at a time on
+    its own copy of the clients' models: one copy per worker when the
+    clients share a model, as ``run_federated``'s do.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:

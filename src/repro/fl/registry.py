@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -218,29 +218,23 @@ class LazyClientPool:
     seed-derived stream; a hydrated :class:`Client` stays pooled until
     ``capacity`` forces the least-recently-used one out.  Hot clients
     (re-selected across rounds, or everyone at ``client_fraction=1.0``
-    with ``capacity >= N``) therefore skip re-setup entirely.
-
-    ``share_model=True`` mirrors the sequential/batched executors' model
-    sharing: every hydrated client references one model instance.  With
-    ``share_model=False`` (thread/process executors) each hydration
-    builds a private model via ``model_factory``.
+    with ``capacity >= N``) therefore skip re-setup entirely.  Every
+    hydrated client holds ``model``, so a hydration builds no model.
     """
 
     def __init__(
         self,
         dataset,
-        model_factory: Callable[[], Model],
+        model: Model,
         solver: LocalSolver,
         *,
-        share_model: bool,
         base_seed: int = 0,
         capacity: Optional[int] = None,
         registry: Optional[ClientRegistry] = None,
     ) -> None:
         self.dataset = dataset
-        self.model_factory = model_factory
+        self.model = model
         self.solver = solver
-        self.share_model = share_model
         self.registry = registry or ClientRegistry.from_dataset(
             dataset, base_seed=base_seed
         )
@@ -249,10 +243,9 @@ class LazyClientPool:
         if capacity < 1:
             raise ConfigurationError("pool capacity must be >= 1")
         self.capacity = int(capacity)
-        self._shared_model: Optional[Model] = None
         self._cache: "OrderedDict[int, Client]" = OrderedDict()
-        #: guards the LRU cache, the shared model, and the counters —
-        #: hydration may be triggered from pool worker threads.
+        #: guards the LRU cache and the counters — hydration may be
+        #: triggered from pool worker threads.
         self._lock = threading.Lock()
         self.hydration_count = 0
         self.hit_count = 0
@@ -263,17 +256,9 @@ class LazyClientPool:
         """Lazy pools have no materialized population to announce."""
         return None
 
-    def _model(self) -> Model:
-        # Caller holds self._lock (shared-model lazy init must not race).
-        if not self.share_model:
-            return self.model_factory()
-        if self._shared_model is None:
-            self._shared_model = self.model_factory()
-        return self._shared_model
-
     def _build(self, index: int) -> Client:
         return self.registry.virtual(index).hydrate(
-            self.dataset.device(index), self._model(), self.solver
+            self.dataset.device(index), self.model, self.solver
         )
 
     def client(self, index: int) -> Client:

@@ -33,20 +33,25 @@ from repro.utils.rng import SeedLike, spawn_seeds
 from repro.utils.smoothness import estimate_smoothness_power_iteration
 from repro.utils.validation import check_positive, check_positive_int
 
-#: valid ``FederatedRunConfig.executor`` values.  ``sequential`` and
-#: ``batched`` share model instances across clients; ``thread`` and
-#: ``process`` need one instance per client (see docs/PERFORMANCE.md).
+#: valid ``FederatedRunConfig.executor`` values (see docs/PERFORMANCE.md).
 EXECUTOR_CHOICES = ("sequential", "thread", "batched", "process")
 
 
-def make_executor(name: str, max_workers: Optional[int] = None) -> ClientExecutor:
-    """Build a :class:`ClientExecutor` from its config name."""
+def make_executor(
+    name: str,
+    model_factory: Callable[[], Model],
+    max_workers: Optional[int] = None,
+) -> ClientExecutor:
+    """Build a :class:`ClientExecutor` from its config name.
+
+    Only the thread pool calls ``model_factory``: once per worker.
+    """
     if name == "sequential":
         return SequentialExecutor()
     if name == "batched":
         return BatchedCohortExecutor()
     if name == "thread":
-        return ThreadPoolClientExecutor(max_workers=max_workers)
+        return ThreadPoolClientExecutor(model_factory, max_workers=max_workers)
     if name == "process":
         # Imported lazily: the module pulls in multiprocessing machinery
         # that sequential runs never need.
@@ -165,28 +170,19 @@ def _finite_smoothness(L: float, source: str) -> float:
 
 
 def build_clients(
-    dataset: FederatedDataset,
-    model_factory: Callable[[], Model],
-    solver,
-    *,
-    share_model: bool,
-    seed: int,
+    dataset: FederatedDataset, model: Model, solver, *, seed: int
 ) -> list:
-    """Instantiate one client per device shard (the eager O(N) path)."""
-    shared = model_factory() if share_model else None
-    clients = []
-    for dev in dataset.devices:
-        model = shared if share_model else model_factory()
-        clients.append(
-            Client(
-                client_id=dev.device_id,
-                data=dev,
-                model=model,
-                solver=solver,
-                base_seed=seed,
-            )
+    """One client per device shard, all on ``model`` (the eager O(N) path)."""
+    return [
+        Client(
+            client_id=dev.device_id,
+            data=dev,
+            model=model,
+            solver=solver,
+            base_seed=seed,
         )
-    return clients
+        for dev in dataset.devices
+    ]
 
 
 def default_lru_capacity(
@@ -208,10 +204,9 @@ def default_lru_capacity(
 
 def build_client_pool(
     dataset,
-    model_factory: Callable[[], Model],
+    model: Model,
     solver,
     *,
-    share_model: bool,
     seed: int,
     virtual: bool,
     client_fraction: float = 1.0,
@@ -224,24 +219,15 @@ def build_client_pool(
     ``virtual=True``: an :class:`~repro.fl.registry.LazyClientPool` that
     registers only packed metadata and hydrates per-round cohorts on
     demand; works with lazy *and* eager datasets (for the latter the
-    shards are already resident but the O(N) client/model objects are
-    still avoided).
+    shards are already resident but the O(N) client objects are still
+    avoided).  Every client holds ``model``.
     """
     if not virtual:
-        return EagerClientPool(
-            build_clients(
-                dataset,
-                model_factory,
-                solver,
-                share_model=share_model,
-                seed=seed,
-            )
-        )
+        return EagerClientPool(build_clients(dataset, model, solver, seed=seed))
     return LazyClientPool(
         dataset,
-        model_factory,
+        model,
         solver,
-        share_model=share_model,
         base_seed=seed,
         capacity=default_lru_capacity(
             dataset.num_devices, client_fraction, lru_capacity
@@ -293,10 +279,10 @@ def run_federated(
     model_factory:
         Zero-argument callable building a fresh ``Model``.  It is called
         for the smoothness probe's model, which nothing keeps once ``L``
-        is known, then for the server's evaluation model, then for the
-        clients: once for a model all clients share under the
-        sequential/batched executors, or once per client (per hydration
-        on the virtual path) under the thread or process pool.
+        is known, then for one model that the server's evaluation and
+        every client share, and by the thread pool once per worker.
+        The count does not grow with the number of clients; forked
+        process workers each hold a copy of the shared model.
     config:
         See :class:`FederatedRunConfig`.
     w0:
@@ -378,21 +364,17 @@ def run_federated(
             **config.solver_kwargs,
         )
 
-        eval_model = model_factory()
-        # Concurrent executors need per-client model instances (transient
-        # layer caches are per-call state); sequential and batched share one.
-        share_model = config.executor in ("sequential", "batched")
+        model = model_factory()
         pool = build_client_pool(
             dataset,
-            model_factory,
+            model,
             solver,
-            share_model=share_model,
             seed=config.seed,
             virtual=virtual,
             client_fraction=config.client_fraction,
             lru_capacity=config.lru_capacity,
         )
-        executor = make_executor(config.executor, config.max_workers)
+        executor = make_executor(config.executor, model_factory, config.max_workers)
 
         delay_model = config.delay_model
         if delay_model is None:
@@ -400,7 +382,7 @@ def run_federated(
 
         server = FederatedServer(
             pool,
-            eval_model=eval_model,
+            eval_model=model,
             executor=executor,
             delay_model=delay_model,
             client_fraction=config.client_fraction,
@@ -408,7 +390,7 @@ def run_federated(
             eval_client_cap=config.max_eval_clients,
         )
         if w0 is None:
-            w0 = eval_model.init_parameters(init_seed)
+            w0 = model.init_parameters(init_seed)
 
         run_config = {
             "algorithm": config.algorithm,
@@ -432,7 +414,7 @@ def run_federated(
                 },
                 attrs={
                     "dataset": dataset.name,
-                    "model": type(eval_model).__name__,
+                    "model": type(model).__name__,
                     "executor": config.executor,
                     "num_devices": dataset.num_devices,
                     "client_fraction": config.client_fraction,

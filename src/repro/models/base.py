@@ -22,7 +22,16 @@ from repro.utils.validation import check_array_2d, check_same_length
 
 
 class Model(ABC):
-    """Abstract differentiable model over flat parameter vectors."""
+    """Abstract differentiable model over flat parameter vectors.
+
+    A model is a pure function of ``(w, X, y)``: no result depends on
+    an earlier call, so any instance of one architecture gives the same
+    bits, and one instance may serve any number of clients in turn.
+    The one exception is a cache whose reuse is checked bit for bit,
+    such as :class:`~repro.nn.layers.conv2d.Conv2D`'s column reuse; it
+    changes the cost of a call, never its result.  Layer caches are
+    per-call state, so two calls running at once need two instances.
+    """
 
     #: total number of scalar parameters (set by subclasses)
     num_parameters: int

@@ -18,7 +18,6 @@ from repro.nn.layers.conv2d import Conv2D
 from repro.nn.layers.pooling import MaxPool2D
 from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers.flatten import Flatten
-from repro.nn.layers.dropout import Dropout
 from repro.nn.losses import (
     SoftmaxCrossEntropy,
     MeanSquaredError,
@@ -29,7 +28,6 @@ from repro.nn import initializers
 __all__ = [
     "Conv2D",
     "Dense",
-    "Dropout",
     "Flatten",
     "MaxPool2D",
     "MeanSquaredError",

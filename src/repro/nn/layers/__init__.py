@@ -5,6 +5,5 @@ from repro.nn.layers.conv2d import Conv2D
 from repro.nn.layers.pooling import MaxPool2D
 from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers.flatten import Flatten
-from repro.nn.layers.dropout import Dropout
 
-__all__ = ["Conv2D", "Dense", "Dropout", "Flatten", "MaxPool2D", "ReLU", "Sigmoid", "Tanh"]
+__all__ = ["Conv2D", "Dense", "Flatten", "MaxPool2D", "ReLU", "Sigmoid", "Tanh"]

@@ -1,26 +1,32 @@
 """Tests for repro.fl.client and repro.fl.executor."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.local import FedAvgLocalSolver
+from repro.core.local import FedAvgLocalSolver, FedProxVRLocalSolver
 from repro.fl.client import Client
 from repro.fl.executor import SequentialExecutor, ThreadPoolClientExecutor
-from repro.models import MultinomialLogisticModel
+from repro.models import MultinomialLogisticModel, make_mlp_model
 
 
-def make_clients(dataset, share_model=True, solver=None, seed=0):
+def make_clients(dataset, solver=None, seed=0, model=None):
+    """One client per device, all sharing ``model`` (a fresh MLR by default)."""
     solver = solver or FedAvgLocalSolver(step_size=0.05, num_steps=5, batch_size=8)
-    shared = MultinomialLogisticModel(dataset.num_features, dataset.num_classes)
-    clients = []
-    for dev in dataset.devices:
-        model = (
-            shared
-            if share_model
-            else MultinomialLogisticModel(dataset.num_features, dataset.num_classes)
-        )
-        clients.append(Client(dev.device_id, dev, model, solver, base_seed=seed))
-    return clients
+    if model is None:
+        model = MultinomialLogisticModel(dataset.num_features, dataset.num_classes)
+    return [
+        Client(dev.device_id, dev, model, solver, base_seed=seed)
+        for dev in dataset.devices
+    ]
+
+
+class _OffLimits:
+    """A client's own model that the thread pool must never use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the pool used a client's own model (.{name})")
 
 
 class TestClient:
@@ -61,71 +67,99 @@ class TestExecutors:
         assert len(results) == len(clients)
 
     def test_thread_matches_sequential(self, tiny_dataset):
-        """Parallel execution must be bit-identical to sequential."""
-        w0 = MultinomialLogisticModel(
-            tiny_dataset.num_features, tiny_dataset.num_classes
-        ).init_parameters(0)
+        """Worker models give the bits of the clients' shared model.
 
-        seq_clients = make_clients(tiny_dataset, share_model=True)
-        seq_results = SequentialExecutor().run_round(seq_clients, w0, 2)
+        An MLP has layer caches, and 3 workers serve 6 clients over two
+        rounds, so each worker model solves several clients in turn;
+        state leaking between them, or two solves on one model, fails
+        the exact checks.  A short switch interval forces thread
+        switches inside the solves.
+        """
 
-        par_clients = make_clients(tiny_dataset, share_model=False)
-        with ThreadPoolClientExecutor(max_workers=3) as pool:
-            par_results = pool.run_round(par_clients, w0, 2)
+        def factory():
+            return make_mlp_model(
+                tiny_dataset.num_features, tiny_dataset.num_classes, (6,), seed=0
+            )
 
-        for rs, rp in zip(seq_results, par_results):
-            np.testing.assert_allclose(rs.w_local, rp.w_local)
-
-    def test_thread_rejects_shared_models(self, tiny_dataset):
-        clients = make_clients(tiny_dataset, share_model=True)
+        solver = FedProxVRLocalSolver(
+            step_size=0.05, num_steps=5, batch_size=8, mu=0.1
+        )
+        clients = make_clients(tiny_dataset, solver=solver, model=factory())
         w0 = clients[0].model.init_parameters(0)
-        with ThreadPoolClientExecutor(max_workers=2) as pool:
-            with pytest.raises(RuntimeError, match="model instance"):
-                pool.run_round(clients, w0, 1)
+        sequential = SequentialExecutor()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolClientExecutor(factory, max_workers=3) as pool:
+                rounds = [
+                    (
+                        sequential.run_round(clients, w0, s),
+                        pool.run_round(clients, w0, s),
+                    )
+                    for s in (1, 2)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        for seq_results, par_results in rounds:
+            for rs, rp in zip(seq_results, par_results):
+                np.testing.assert_array_equal(rs.w_local, rp.w_local)
+                assert rs.num_steps == rp.num_steps
+                assert rs.num_gradient_evaluations == rp.num_gradient_evaluations
+                assert rs.start_grad_norm == rp.start_grad_norm
+                assert rs.final_surrogate_grad_norm is not None
+                assert rs.final_surrogate_grad_norm == rp.final_surrogate_grad_norm
 
-    def test_closed_executor_rejects_work(self, tiny_dataset):
-        clients = make_clients(tiny_dataset, share_model=False)
+    def test_closed_executor_rejects_work(self, tiny_dataset, tiny_model_factory):
+        clients = make_clients(tiny_dataset)
         w0 = clients[0].model.init_parameters(0)
-        pool = ThreadPoolClientExecutor(max_workers=2)
+        pool = ThreadPoolClientExecutor(tiny_model_factory, max_workers=2)
         pool.close()
         with pytest.raises(RuntimeError):
             pool.run_round(clients, w0, 1)
 
-    def test_close_idempotent(self):
-        pool = ThreadPoolClientExecutor(max_workers=1)
+    def test_close_idempotent(self, tiny_model_factory):
+        pool = ThreadPoolClientExecutor(tiny_model_factory, max_workers=1)
         pool.close()
         pool.close()  # must not raise
 
 
 class TestThreadPoolSizing:
-    def test_default_max_workers_sized_on_first_use(self, tiny_dataset):
+    def test_default_max_workers_sized_on_first_use(
+        self, tiny_dataset, tiny_model_factory
+    ):
         import os
 
-        clients = make_clients(tiny_dataset, share_model=False)
-        with ThreadPoolClientExecutor() as pool:
+        clients = make_clients(tiny_dataset)
+        with ThreadPoolClientExecutor(tiny_model_factory) as pool:
             w0 = clients[0].model.init_parameters(0)
             pool.run_round(clients, w0, 1)
             expected = max(1, min(len(clients), os.cpu_count() or 1))
             assert pool._pool._max_workers == expected
 
-    def test_distinct_model_check_cached_per_client_set(self, tiny_dataset):
-        clients = make_clients(tiny_dataset, share_model=False)
-        w0 = clients[0].model.init_parameters(0)
-        with ThreadPoolClientExecutor(max_workers=2) as pool:
-            pool.run_round(clients, w0, 1)
-            key = pool._validated_clients
-            pool.run_round(clients, w0, 2)
-            assert pool._validated_clients is key  # not recomputed
-            # a different set re-validates
+    def test_builds_one_model_per_worker(self, tiny_dataset, tiny_model_factory):
+        """Exactly ``max_workers`` models, whatever the rounds or cohort
+        sizes, and the clients' own model is never used."""
+        built = []
+
+        def factory():
+            built.append(tiny_model_factory())
+            return built[-1]
+
+        clients = make_clients(tiny_dataset, model=_OffLimits())
+        w0 = tiny_model_factory().init_parameters(0)
+        with ThreadPoolClientExecutor(factory, max_workers=2) as pool:
+            assert built == []  # built on first use
+            for s in (1, 2):
+                assert len(pool.run_round(clients, w0, s)) == len(clients)
             pool.run_round(clients[:3], w0, 3)
-            assert pool._validated_clients != key
+        assert len(built) == 2
 
 
 class TestProcessPoolExecutor:
     def test_closed_rejects_work(self, tiny_dataset):
         from repro.fl.executor_mp import ProcessPoolClientExecutor
 
-        clients = make_clients(tiny_dataset, share_model=False)
+        clients = make_clients(tiny_dataset)
         w0 = clients[0].model.init_parameters(0)
         pool = ProcessPoolClientExecutor(max_workers=1)
         pool.close()
@@ -136,18 +170,18 @@ class TestProcessPoolExecutor:
     def test_unregistered_client_rejected(self, tiny_dataset):
         from repro.fl.executor_mp import ProcessPoolClientExecutor
 
-        clients = make_clients(tiny_dataset, share_model=False)
+        clients = make_clients(tiny_dataset)
         w0 = clients[0].model.init_parameters(0)
         with ProcessPoolClientExecutor(max_workers=2) as pool:
             pool.run_round(clients[:3], w0, 1)
-            stranger = make_clients(tiny_dataset, share_model=False)[0]
+            stranger = make_clients(tiny_dataset)[0]
             with pytest.raises(RuntimeError, match="registered"):
                 pool.run_round([stranger], w0, 2)
 
     def test_subset_rounds_match_sequential(self, tiny_dataset):
         from repro.fl.executor_mp import ProcessPoolClientExecutor
 
-        clients = make_clients(tiny_dataset, share_model=False)
+        clients = make_clients(tiny_dataset)
         w0 = clients[0].model.init_parameters(0)
         with ProcessPoolClientExecutor(max_workers=2) as pool:
             pool.register_clients(clients)
@@ -161,7 +195,7 @@ class TestProcessPoolExecutor:
         from repro.fl.executor_mp import ProcessPoolClientExecutor
         from repro.obs import InMemorySink, telemetry
 
-        clients = make_clients(tiny_dataset, share_model=False)
+        clients = make_clients(tiny_dataset)
         w0 = clients[0].model.init_parameters(0)
         sink = InMemorySink()
         telemetry.configure([sink])
@@ -193,7 +227,7 @@ class TestProcessPoolExecutor:
         from repro.obs import telemetry
 
         assert not telemetry.enabled
-        clients = make_clients(tiny_dataset, share_model=False)
+        clients = make_clients(tiny_dataset)
         w0 = clients[0].model.init_parameters(0)
         with ProcessPoolClientExecutor(max_workers=2) as pool:
             pool.run_round(clients, w0, 1)

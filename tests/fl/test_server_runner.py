@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.local import FedAvgLocalSolver
-from repro.datasets import make_digits
+from repro.datasets import make_digits, make_synthetic
 from repro.datasets.base import FederatedDataset
 from repro.exceptions import ConfigurationError
 from repro.fl import runner
@@ -254,9 +254,44 @@ class TestProbeModelLifetime:
             max_workers=2, seed=0,
         )
         run_federated(dataset, factory, cfg, ledger=ledger)
-        # probe model, eval model, one model per client
-        assert len(built) == 2 + dataset.num_devices
+        # probe model, the model evaluation and clients share, one per worker
+        assert len(built) == 2 + cfg.max_workers
         assert ledger.alive_at_manifest is False
+
+
+class TestModelFactoryCalls:
+    """Model memory scales with the solves running at once, not with
+    the clients: ``run_federated`` builds the probe's model, one model
+    that evaluation and every client share, and one per thread worker,
+    whatever the device count, executor or client path."""
+
+    WORKERS = 2
+
+    @pytest.mark.parametrize("virtual", [False, True], ids=["eager", "virtual"])
+    @pytest.mark.parametrize("executor", runner.EXECUTOR_CHOICES)
+    def test_count_does_not_depend_on_device_count(self, executor, virtual):
+        expected = 2 + (self.WORKERS if executor == "thread" else 0)
+        # The process pool maps a fixed cohort, so its virtual run keeps
+        # every client; the others sample half, hydrating every round.
+        fraction = 1.0 if virtual and executor == "process" else 0.5
+        for num_devices in (4, 12):
+            dataset = make_synthetic(
+                1.0, 1.0, num_devices=num_devices, num_features=6,
+                num_classes=3, min_size=10, max_size=20, seed=1,
+            )
+            calls = []
+
+            def factory():
+                calls.append(1)
+                return MultinomialLogisticModel(6, 3)
+
+            cfg = FederatedRunConfig(
+                num_rounds=2, num_local_steps=2, batch_size=4,
+                client_fraction=fraction, executor=executor,
+                max_workers=self.WORKERS, virtual_clients=virtual, seed=0,
+            )
+            run_federated(dataset, factory, cfg)
+            assert len(calls) == expected, (num_devices, len(calls))
 
 
 class _ManifestFails:
@@ -295,8 +330,8 @@ class TestSetupFailure:
         closed = []
         build = runner.make_executor
 
-        def spy(name, max_workers=None):
-            executor = build(name, max_workers)
+        def spy(name, model_factory, max_workers=None):
+            executor = build(name, model_factory, max_workers)
             close = executor.close
 
             def recording_close():

@@ -204,9 +204,8 @@ class TestLazyClientPool:
     def _pool(self, dataset, capacity=None):
         return LazyClientPool(
             dataset,
-            _factory(dataset),
+            _factory(dataset)(),
             _solver(),
-            share_model=True,
             base_seed=7,
             capacity=capacity,
         )
@@ -236,17 +235,6 @@ class TestLazyClientPool:
         pool = self._pool(lazy_dataset)
         a, b = pool.hydrate([0, 1])
         assert a.model is b.model
-
-    def test_private_models_when_not_shared(self, lazy_dataset):
-        pool = LazyClientPool(
-            lazy_dataset,
-            _factory(lazy_dataset),
-            _solver(),
-            share_model=False,
-            capacity=8,
-        )
-        a, b = pool.hydrate([0, 1])
-        assert a.model is not b.model
 
     def test_iter_clients_does_not_pollute_lru(self, lazy_dataset):
         pool = self._pool(lazy_dataset, capacity=2)
@@ -381,9 +369,8 @@ class TestSampledCohorts:
     def test_sampled_run_hydrates_only_cohorts(self, lazy_dataset):
         pool = build_client_pool(
             lazy_dataset,
-            _factory(lazy_dataset),
+            _factory(lazy_dataset)(),
             _solver(),
-            share_model=True,
             seed=5,
             virtual=True,
             client_fraction=0.25,
@@ -568,11 +555,7 @@ class TestEagerPool:
         from repro.fl.runner import build_clients
 
         clients = build_clients(
-            eager_dataset,
-            _factory(eager_dataset),
-            _solver(),
-            share_model=True,
-            seed=5,
+            eager_dataset, _factory(eager_dataset)(), _solver(), seed=5
         )
         pool = EagerClientPool(clients)
         assert pool.population is clients or pool.population == clients

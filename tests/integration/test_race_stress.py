@@ -51,7 +51,7 @@ class TestBitIdentityUnderContention:
         losses, w = run_once(
             dataset,
             model_factory,
-            BarrierThreadExecutor(max_workers=workers),
+            BarrierThreadExecutor(model_factory, max_workers=workers),
             seed=SEED,
             num_rounds=ROUNDS,
         )

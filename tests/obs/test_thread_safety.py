@@ -27,25 +27,22 @@ def _make_clients():
         num_classes=3, min_size=20, max_size=40, seed=3,
     )
     solver = FedAvgLocalSolver(step_size=0.01, num_steps=4, batch_size=8)
+
+    def model_factory():
+        return MultinomialLogisticModel(dataset.num_features, dataset.num_classes)
+
+    model = model_factory()
     clients = [
-        Client(
-            d.device_id, d,
-            MultinomialLogisticModel(dataset.num_features, dataset.num_classes),
-            solver, base_seed=0,
-        )
-        for d in dataset.devices
+        Client(d.device_id, d, model, solver, base_seed=0) for d in dataset.devices
     ]
-    w0 = MultinomialLogisticModel(
-        dataset.num_features, dataset.num_classes
-    ).init_parameters(0)
-    return clients, w0
+    return clients, model.init_parameters(0), model_factory
 
 
 def test_spans_nest_under_correct_round_and_none_are_lost(
     memory_session, tmp_path
 ):
-    clients, w0 = _make_clients()
-    with ThreadPoolClientExecutor(max_workers=8) as executor:
+    clients, w0, model_factory = _make_clients()
+    with ThreadPoolClientExecutor(model_factory, max_workers=8) as executor:
         for s in range(1, NUM_ROUNDS + 1):
             with telemetry.span("round", s=s):
                 results = executor.run_round(clients, w0, s)
@@ -82,7 +79,7 @@ def test_spans_nest_under_correct_round_and_none_are_lost(
 
 
 def test_jsonl_lines_do_not_interleave_across_threads(tmp_path):
-    clients, w0 = _make_clients()
+    clients, w0, model_factory = _make_clients()
     path = tmp_path / "threads.jsonl"
     ledger = RunLedger(str(path), fsync=False)
     ledger.write_manifest({})
@@ -90,7 +87,7 @@ def test_jsonl_lines_do_not_interleave_across_threads(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # force thread switches mid-emit
     try:
-        with ThreadPoolClientExecutor(max_workers=8) as executor:
+        with ThreadPoolClientExecutor(model_factory, max_workers=8) as executor:
             for s in range(1, NUM_ROUNDS + 1):
                 with telemetry.span("round", s=s):
                     executor.run_round(clients, w0, s)

@@ -7,12 +7,12 @@ adversarial interleavings and demanding bit-identical results:
 
 1. **Bit-identity stress** — the same federated problem is solved once
    sequentially (the reference) and repeatedly on a thread pool whose
-   workers rendezvous at a :class:`threading.Barrier` before every local
-   solve, so client updates start as close to simultaneously as the OS
-   allows.  Every worker count and every repeat must reproduce the
-   sequential history and final weights exactly (``==``, not
-   ``allclose``) — per-(client, round) RNG streams make scheduling
-   invisible, or the run fails.
+   workers each check out a worker model and then rendezvous at a
+   :class:`threading.Barrier` before every local solve, so client
+   updates start as close to simultaneously as the OS allows.  Every
+   worker count and every repeat must reproduce the sequential history
+   and final weights exactly (``==``, not ``allclose``) — per-(client,
+   round) RNG streams make scheduling invisible, or the run fails.
 2. **ShmArena leak audit** — arenas are torn down mid-population by an
    injected failure; any segment still attachable afterwards is an
    orphan (it would survive the process) and fails the audit.
@@ -49,31 +49,32 @@ from repro.utils.rng import spawn_seeds
 class BarrierThreadExecutor(ThreadPoolClientExecutor):
     """Thread-pool executor that herds workers into lockstep starts.
 
-    A fresh barrier per round makes every pool worker wait until the
-    whole first wave is ready before any local solve begins — the most
-    contended schedule a pool of that width can produce.  Stragglers of
-    a ragged final wave time out quickly (a broken barrier waves the
-    rest through), so the stress never deadlocks.
+    A fresh barrier per round makes every pool worker check out its
+    model and then wait until the whole first wave holds one before any
+    local solve begins — the most contended schedule a pool of that
+    width can produce.  Stragglers of a ragged final wave time out
+    quickly (a broken barrier waves the rest through), so the stress
+    never deadlocks.
     """
 
-    def __init__(self, max_workers: int) -> None:
-        super().__init__(max_workers=max_workers)
+    def __init__(self, model_factory, max_workers: int) -> None:
+        super().__init__(model_factory, max_workers=max_workers)
         self.barrier_parties = max_workers
 
     def run_round(self, clients, w_global, round_index):
         if self._closed:
             raise RuntimeError("executor already closed")
-        self._validate_clients(clients)
         pool = self._ensure_pool(len(clients))
         parties = min(self.barrier_parties, len(clients))
         barrier = threading.Barrier(parties)
 
         def contended_update(client):
-            try:
-                barrier.wait(timeout=0.25)
-            except threading.BrokenBarrierError:
-                pass  # ragged wave: start anyway, contention already peaked
-            return client.local_update(w_global, round_index)
+            with self._checkout() as model:
+                try:
+                    barrier.wait(timeout=0.25)
+                except threading.BrokenBarrierError:
+                    pass  # ragged wave: start anyway, contention already peaked
+                return client.local_update(w_global, round_index, model)
 
         futures = [pool.submit(contended_update, c) for c in clients]
         return [f.result() for f in futures]
@@ -111,13 +112,13 @@ def run_once(
     """One training run; returns ``(per-round train losses, w_final)``.
 
     Mirrors ``run_federated``'s wiring (same seed derivation, same step
-    size, same solver) but always builds per-client model instances so
-    sequential and thread runs share identical arithmetic and differ
-    only in scheduling.
+    size, same solver, one model that every client shares), so
+    sequential and thread runs differ only in scheduling and in which
+    model instance a solve runs on.
     """
     init_seed, server_seed = (s.entropy for s in spawn_seeds(seed, 2))
-    probe_model = model_factory()
-    L = resolve_smoothness(probe_model, dataset, seed=seed)
+    model = model_factory()
+    L = resolve_smoothness(model, dataset, seed=seed)
     solver = make_local_solver(
         "fedproxvr-sarah",
         step_size=1.0 / (5.0 * L),
@@ -125,13 +126,11 @@ def run_once(
         batch_size=16,
         mu=0.1,
     )
-    clients = build_clients(
-        dataset, model_factory, solver, share_model=False, seed=seed
-    )
+    clients = build_clients(dataset, model, solver, seed=seed)
     server = FederatedServer(
-        clients, eval_model=probe_model, executor=executor, seed=server_seed
+        clients, eval_model=model, executor=executor, seed=server_seed
     )
-    w0 = probe_model.init_parameters(init_seed)
+    w0 = model.init_parameters(init_seed)
     try:
         history, w_final = server.train(w0, num_rounds)
     finally:
@@ -165,7 +164,7 @@ def stress_bit_identity(
             losses, w = run_once(
                 dataset,
                 model_factory,
-                BarrierThreadExecutor(max_workers=workers),
+                BarrierThreadExecutor(model_factory, max_workers=workers),
                 seed=seed,
                 num_rounds=num_rounds,
             )
